@@ -46,7 +46,6 @@ let serve_records : Json.t list ref = ref []
 let feedback_records : Json.t list ref = ref []
 let advisor_records : Json.t list ref = ref []
 let paper_scale_records : Json.t list ref = ref []
-let learned_records : Json.t list ref = ref []
 let hier_records : Json.t list ref = ref []
 
 (* ------------------------------------------------------------------ *)
@@ -749,195 +748,6 @@ let optimizer_scaling ~threads =
      across domain counts; speedup needs as many online CPUs as domains\n\
      (this host reports %d).\n\n"
     (Domain.recommended_domain_count ())
-
-(* ------------------------------------------------------------------ *)
-(* Learned pruning: beam-gated join DP vs exhaustive enumeration.      *)
-
-(* Real-data star around a hub: hub_k is a dense primary key, each
-   hub_f_i draws uniformly from satellite i's (dense, unique) key
-   domain — every join is fk -> pk, so intermediate cardinalities stay
-   at hub size and execution is cheap enough to digest-compare the two
-   chosen plans.  Odd satellites get shuffled keys so sortedness
-   differs per leaf and the Pareto frontiers stay plural. *)
-let learned_star_db ~relations ~hub_rows ~sat_rows =
-  let rng = Rng.create ~seed:42 in
-  let db = Dqo_engine.Engine.create ~model:Model.deep () in
-  let hub_schema =
-    Dqo_data.Schema.of_names
-      (("hub_k", Dqo_data.Schema.T_int)
-      :: List.init (relations - 1) (fun i ->
-             (Printf.sprintf "hub_f%d" (i + 1), Dqo_data.Schema.T_int)))
-  in
-  let hub_cols =
-    Dqo_data.Column.of_ints (Array.init hub_rows (fun i -> i))
-    :: List.init (relations - 1) (fun _ ->
-           Dqo_data.Column.of_ints
-             (Array.init hub_rows (fun _ -> Rng.int rng sat_rows)))
-  in
-  Dqo_engine.Engine.register db ~name:"Hub"
-    (Dqo_data.Relation.create hub_schema hub_cols);
-  for i = 1 to relations - 1 do
-    let keys = Array.init sat_rows (fun j -> j) in
-    if i mod 2 = 1 then Rng.shuffle rng keys;
-    Dqo_engine.Engine.register db
-      ~name:(Printf.sprintf "Sat%d" i)
-      (Dqo_data.Relation.create
-         (Dqo_data.Schema.of_names
-            [ (Printf.sprintf "sat%d_k" i, Dqo_data.Schema.T_int) ])
-         [ Dqo_data.Column.of_ints keys ])
-  done;
-  db
-
-(* Real-data chain T1 -> T2 -> ... -> Tk: each t{i}_f draws from
-   T{i+1}'s dense key domain. *)
-let learned_chain_db ~relations ~rows =
-  let rng = Rng.create ~seed:43 in
-  let db = Dqo_engine.Engine.create ~model:Model.deep () in
-  for i = 1 to relations do
-    let keys = Array.init rows (fun j -> j) in
-    if i mod 2 = 1 then Rng.shuffle rng keys;
-    let names, cols =
-      if i < relations then
-        ( [
-            (Printf.sprintf "t%d_k" i, Dqo_data.Schema.T_int);
-            (Printf.sprintf "t%d_f" i, Dqo_data.Schema.T_int);
-          ],
-          [
-            Dqo_data.Column.of_ints keys;
-            Dqo_data.Column.of_ints
-              (Array.init rows (fun _ -> Rng.int rng rows));
-          ] )
-      else
-        ([ (Printf.sprintf "t%d_k" i, Dqo_data.Schema.T_int) ],
-         [ Dqo_data.Column.of_ints keys ])
-    in
-    Dqo_engine.Engine.register db
-      ~name:(Printf.sprintf "T%d" i)
-      (Dqo_data.Relation.create (Dqo_data.Schema.of_names names) cols)
-  done;
-  db
-
-let learned_chain_query ~relations =
-  let rec build acc i =
-    if i > relations then acc
-    else
-      build
-        (Logical.join acc
-           (Logical.scan (Printf.sprintf "T%d" i))
-           ~on:(Printf.sprintf "t%d_f" (i - 1), Printf.sprintf "t%d_k" i))
-        (i + 1)
-  in
-  Logical.group_by (build (Logical.scan "T1") 2) ~key:"t1_k"
-    [ Logical.count_star () ]
-
-(* One shape: train the value model online from a few analysed
-   executions, then compare the exhaustive deep search against the
-   beam-gated one — candidates generated, chosen-plan cost, wall time,
-   result digests, and pooled-vs-sequential byte-identity. *)
-let bench_learned_shape ~label ~relations ~train_runs ~beam db query =
-  Dqo_engine.Engine.set_opts db
-    {
-      Dqo_engine.Engine.default_opts with
-      mode = Dqo_engine.Engine.DQO;
-      learner = true;
-      beam_width = beam;
-    };
-  for _ = 1 to train_runs do
-    ignore (Dqo_engine.Engine.explain_analyze db query)
-  done;
-  let catalog = Dqo_engine.Engine.catalog db in
-  let lrn = Dqo_engine.Engine.learner db in
-  let run_opt ?pool ?learner () =
-    Search.optimize_entries ~model:Model.deep ?pool ?learner ~beam Search.Deep
-      catalog query
-  in
-  let (ex_entries, ex_stats), ex_samples =
-    Timer.times ~repeats:3 (fun () -> run_opt ())
-  in
-  let (ln_entries, ln_stats), ln_samples =
-    Timer.times ~repeats:3 (fun () -> run_opt ~learner:lrn ())
-  in
-  let fingerprint entries (stats : Search.stats) =
-    ( Format.asprintf "%a" Physical.pp (Pareto.cheapest entries).Pareto.plan,
-      List.map (fun (lv : Search.level_stat) -> lv.Search.level_kept)
-        stats.Search.levels )
-  in
-  let ln_fp = fingerprint ln_entries ln_stats in
-  let pooled_identical =
-    List.for_all
-      (fun domains ->
-        Dqo_par.Pool.with_pool ~domains (fun pool ->
-            let entries, stats = run_opt ~pool ~learner:lrn () in
-            fingerprint entries stats = ln_fp))
-      [ 2; 4; 8 ]
-  in
-  let ex_best = Pareto.cheapest ex_entries in
-  let ln_best = Pareto.cheapest ln_entries in
-  let digests_identical =
-    String.equal
-      (Dqo_serve.Wire.digest
-         (Dqo_engine.Engine.execute db ex_best.Pareto.plan))
-      (Dqo_serve.Wire.digest
-         (Dqo_engine.Engine.execute db ln_best.Pareto.plan))
-  in
-  let reduction =
-    Float.of_int ex_stats.Search.plans_considered
-    /. Float.of_int (max 1 ln_stats.Search.plans_considered)
-  in
-  let cost_ratio =
-    ln_best.Pareto.cost /. Float.max 1.0 ex_best.Pareto.cost
-  in
-  let fewer =
-    ln_stats.Search.plans_considered < ex_stats.Search.plans_considered
-  in
-  let cost_ok = cost_ratio <= 1.1 in
-  learned_records :=
-    Json.Obj
-      [
-        ("shape", Json.String label);
-        ("relations", Json.Int relations);
-        ("beam", Json.Int beam);
-        ("train_runs", Json.Int train_runs);
-        ("exhaustive_candidates", Json.Int ex_stats.Search.plans_considered);
-        ("learned_candidates", Json.Int ln_stats.Search.plans_considered);
-        ("reduction_factor", Json.Float reduction);
-        ("learner_scored", Json.Int ln_stats.Search.learner_scored);
-        ("learner_pruned", Json.Int ln_stats.Search.learner_pruned);
-        ("exhaustive_cost", Json.Float ex_best.Pareto.cost);
-        ("learned_cost", Json.Float ln_best.Pareto.cost);
-        ("cost_ratio", Json.Float cost_ratio);
-        ("exhaustive_ms", Json.Float (Stats.median ex_samples));
-        ("learned_ms", Json.Float (Stats.median ln_samples));
-        ("digests_identical", Json.Bool digests_identical);
-        ("pooled_identical", Json.Bool pooled_identical);
-        ("fewer_candidates", Json.Bool fewer);
-        ("cost_ok", Json.Bool cost_ok);
-      ]
-    :: !learned_records;
-  Printf.printf
-    "   %-10s %2d rel: %6d -> %5d candidates (%.1fx), cost ratio %.3f, \
-     %.1f -> %.1f ms, digests %s, pooled %s\n"
-    label relations ex_stats.Search.plans_considered
-    ln_stats.Search.plans_considered reduction cost_ratio
-    (Stats.median ex_samples) (Stats.median ln_samples)
-    (if digests_identical then "identical" else "DIVERGED")
-    (if pooled_identical then "identical" else "DIVERGED")
-
-let bench_learned () =
-  Printf.printf
-    "-- Learned pruning: beam-gated join DP vs exhaustive (deep model) --\n";
-  bench_learned_shape ~label:"star" ~relations:7 ~train_runs:2 ~beam:2
-    (learned_star_db ~relations:7 ~hub_rows:4_000 ~sat_rows:5_000)
-    (opt_scaling_query ~relations:7);
-  List.iter
-    (fun relations ->
-      bench_learned_shape ~label:"chain" ~relations ~train_runs:2 ~beam:4
-        (learned_chain_db ~relations ~rows:2_000)
-        (learned_chain_query ~relations))
-    [ 8; 10 ];
-  Printf.printf
-    "Beam-gated and exhaustive plans execute to identical digests; the\n\
-     gated search is byte-identical across pool sizes.\n\n"
 
 (* ------------------------------------------------------------------ *)
 (* Hierarchical planning: graph-partitioned DP vs the exhaustive one.  *)
@@ -1892,7 +1702,6 @@ let () =
   let run_bechamel = ref false in
   let run_scaling = ref false in
   let run_opt_scaling = ref false in
-  let run_learned = ref false in
   let run_hier = ref false in
   let hier_exhaustive_cap = ref 24 in
   let hier_max_relations = ref 80 in
@@ -1934,13 +1743,6 @@ let () =
             all := false),
         "  run the optimiser-scaling sweep: parallel DP plan search \
          (domains 1,2,4,8 up to --threads)" );
-      ( "--learned",
-        Arg.Unit
-          (fun () ->
-            run_learned := true;
-            all := false),
-        "  run the learned-pruning sweep: beam-gated join DP vs exhaustive \
-         on the 7-relation star and 8/10-relation chains" );
       ( "--hier",
         Arg.Unit
           (fun () ->
@@ -2050,7 +1852,6 @@ let () =
   | None -> ());
   if !run_scaling then parallel_scaling ~rows:(min rows 4_000_000) ~threads:!threads;
   if !run_opt_scaling then optimizer_scaling ~threads:!threads;
-  if !run_learned then bench_learned ();
   if !run_hier then
     bench_hier ~exhaustive_cap:!hier_exhaustive_cap
       ~max_relations:!hier_max_relations;
@@ -2074,7 +1875,6 @@ let () =
     ablation_layout ~rows:(min rows 4_000_000);
     parallel_scaling ~rows:(min rows 4_000_000) ~threads:!threads;
     optimizer_scaling ~threads:!threads;
-    bench_learned ();
     bench_hier ~exhaustive_cap:!hier_exhaustive_cap
       ~max_relations:!hier_max_relations;
     bench_feedback ~rounds:(max 2 !feedback_rounds);
@@ -2083,22 +1883,22 @@ let () =
   match !json_path with
   | None -> ()
   | Some path ->
-    (* schema_version 9: adds "hierarchical_planning" (v8 added
-       "learned" and per-level stats in "optimizer_scaling"; v7
-       "paper_scale"; v6 "advisor"; v5 "feedback"; v4
-       "optimizer_scaling"; v3 "serving"; v2 "threads" and
-       "parallel_scaling"). *)
+    (* schema_version 10: drops the "learned" records and one
+       per-level pruning count from "optimizer_scaling" (v9 added
+       "hierarchical_planning"; v8 per-level stats in
+       "optimizer_scaling"; v7 "paper_scale"; v6 "advisor"; v5
+       "feedback"; v4 "optimizer_scaling"; v3 "serving"; v2 "threads"
+       and "parallel_scaling"). *)
     Json.to_file path
       (Json.Obj
          [
-           ("schema_version", Json.Int 9);
+           ("schema_version", Json.Int 10);
            ("rows", Json.Int rows);
            ("threads", Json.Int !threads);
            ("figure4", Json.List (List.rev !fig4_records));
            ("figure5", Json.List (List.rev !fig5_records));
            ("parallel_scaling", Json.List (List.rev !scaling_records));
            ("optimizer_scaling", Json.List (List.rev !opt_scaling_records));
-           ("learned", Json.List (List.rev !learned_records));
            ("hierarchical_planning", Json.List (List.rev !hier_records));
            ("serving", Json.List (List.rev !serve_records));
            ("feedback", Json.List (List.rev !feedback_records));

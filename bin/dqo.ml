@@ -69,27 +69,7 @@ let qerror_threshold_arg =
         ~doc:
           "With $(b,--feedback): re-plan a cached prepared statement \
            once its worst observed per-node q-error reaches $(docv) \
-           (must be >= 1.0).  With $(b,--learned), also the guardrail: \
-           a beam-gated execution crossing $(docv) doubles the beam.")
-
-let learned_arg =
-  Arg.(
-    value & flag
-    & info [ "learned" ]
-        ~doc:
-          "Gate the join-DP search with the online-learned value model: \
-           queries run analysed to train the model per plan node, and \
-           once it is warm each join subset keeps only the $(b,--beam) \
-           best-scored entries instead of the full Pareto frontier.")
-
-let beam_arg =
-  Arg.(
-    value & opt int 4
-    & info [ "beam" ] ~docv:"K"
-        ~doc:
-          "With $(b,--learned): Pareto entries kept per join subset \
-           (must be >= 1; the q-error guardrail doubles it on \
-           regressions, falling back to exhaustive past 32).")
+           (must be >= 1.0).")
 
 let make_db ~r_rows ~s_rows ~groups ~sorted ~sparse ~skew ~seed =
   let rng = Dqo_util.Rng.create ~seed in
@@ -172,8 +152,8 @@ let hier_threshold_arg =
 (* ------------------------------------------------------------------ *)
 
 let run_cmd =
-  let action sql mode threads feedback learned beam hier partition_max
-      hier_threshold r_rows s_rows groups sorted sparse skew seed =
+  let action sql mode threads feedback hier partition_max hier_threshold
+      r_rows s_rows groups sorted sparse skew seed =
     let db = make_db ~r_rows ~s_rows ~groups ~sorted ~sparse ~skew ~seed in
     Dqo_engine.Engine.set_opts db
       {
@@ -181,8 +161,6 @@ let run_cmd =
         mode;
         threads;
         feedback;
-        learner = learned;
-        beam_width = beam;
         hier;
         partition_max;
         hier_threshold;
@@ -202,28 +180,18 @@ let run_cmd =
         "(feedback: %d corrections learned, max q-error this run %.2f)\n"
         (Dqo_cost.Feedback.size fb)
         (Dqo_cost.Feedback.last_max_q fb)
-    end;
-    if learned then
-      let lrn = Dqo_engine.Engine.learner db in
-      Printf.printf "(learner: %d observations, beam %s)\n"
-        (Dqo_learn.Learner.observations lrn)
-        (match Dqo_engine.Engine.effective_beam db with
-        | Some k when Dqo_learn.Learner.ready lrn -> string_of_int k
-        | Some _ -> "cold"
-        | None -> "exhaustive")
+    end
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Optimise and execute a SQL query.")
     Term.(
       const action $ sql_arg $ mode_arg $ threads_arg $ feedback_arg
-      $ learned_arg $ beam_arg $ hier_arg $ partition_max_arg
-      $ hier_threshold_arg $ r_rows $ s_rows $ groups $ sorted $ sparse
-      $ skew $ seed)
+      $ hier_arg $ partition_max_arg $ hier_threshold_arg $ r_rows $ s_rows
+      $ groups $ sorted $ sparse $ skew $ seed)
 
 let explain_cmd =
-  let action sql analyze mode threads feedback learned beam hier
-      partition_max hier_threshold json r_rows s_rows groups sorted sparse
-      skew seed =
+  let action sql analyze mode threads feedback hier partition_max
+      hier_threshold json r_rows s_rows groups sorted sparse skew seed =
     let db = make_db ~r_rows ~s_rows ~groups ~sorted ~sparse ~skew ~seed in
     (* [--threads n] also parallelises the plan search itself: the
        SQO-vs-DQO comparison below picks the option up from the engine
@@ -234,8 +202,6 @@ let explain_cmd =
         mode;
         threads;
         feedback;
-        learner = learned;
-        beam_width = beam;
         hier;
         partition_max;
         hier_threshold;
@@ -255,27 +221,17 @@ let explain_cmd =
       let a = analyze_once () in
       render a;
       let final =
-        if not (feedback || learned) then a
+        if not feedback then a
         else begin
-          (* Round 2 replans with what round 1 just learned —
-             corrections and/or a now-warm value model; the side-by-side
-             shows the estimates converging (and, with --learned, the
-             beam gate kicking in). *)
+          (* Round 2 replans with the corrections round 1 just learned;
+             the side-by-side shows the estimates converging. *)
           let q1 = Dqo_opt.Explain.max_q_error a.Dqo_engine.Engine.root in
           let a2 = analyze_once () in
           let q2 = Dqo_opt.Explain.max_q_error a2.Dqo_engine.Engine.root in
-          (if feedback then
-             Printf.printf
-               "\nafter feedback (%d corrections, max q-error %.2f -> \
-                %.2f):\n"
-               (Dqo_cost.Feedback.size (Dqo_engine.Engine.corrections db))
-               q1 q2
-           else
-             Printf.printf
-               "\nafter training (%d observations, max q-error %.2f -> \
-                %.2f):\n"
-               (Dqo_learn.Learner.observations (Dqo_engine.Engine.learner db))
-               q1 q2);
+          Printf.printf
+            "\nafter feedback (%d corrections, max q-error %.2f -> %.2f):\n"
+            (Dqo_cost.Feedback.size (Dqo_engine.Engine.corrections db))
+            q1 q2;
           render a2;
           a2
         end
@@ -311,9 +267,8 @@ let explain_cmd =
           actual per-node cardinalities.")
     Term.(
       const action $ sql_arg $ analyze $ mode_arg $ threads_arg $ feedback_arg
-      $ learned_arg $ beam_arg $ hier_arg $ partition_max_arg
-      $ hier_threshold_arg $ json $ r_rows $ s_rows $ groups $ sorted
-      $ sparse $ skew $ seed)
+      $ hier_arg $ partition_max_arg $ hier_threshold_arg $ json $ r_rows
+      $ s_rows $ groups $ sorted $ sparse $ skew $ seed)
 
 let granules_cmd =
   let action operator =
@@ -412,8 +367,8 @@ let avsp_cmd =
       $ seed)
 
 let serve_cmd =
-  let action mode threads feedback qerror_threshold learned beam hier
-      partition_max hier_threshold workers max_inflight advisor av_budget
+  let action mode threads feedback qerror_threshold hier partition_max
+      hier_threshold workers max_inflight advisor av_budget
       advisor_interval r_rows s_rows groups sorted sparse skew seed =
     let db = make_db ~r_rows ~s_rows ~groups ~sorted ~sparse ~skew ~seed in
     Dqo_engine.Engine.set_opts db
@@ -422,8 +377,6 @@ let serve_cmd =
         threads;
         feedback;
         qerror_threshold;
-        learner = learned;
-        beam_width = beam;
         hier;
         partition_max;
         hier_threshold;
@@ -508,10 +461,10 @@ let serve_cmd =
           advise, stats, quit.")
     Term.(
       const action $ mode_arg $ threads_arg $ feedback_arg
-      $ qerror_threshold_arg $ learned_arg $ beam_arg $ hier_arg
-      $ partition_max_arg $ hier_threshold_arg $ workers $ max_inflight
-      $ advisor $ av_budget $ advisor_interval $ r_rows $ s_rows $ groups
-      $ sorted $ sparse $ skew $ seed)
+      $ qerror_threshold_arg $ hier_arg $ partition_max_arg
+      $ hier_threshold_arg $ workers $ max_inflight $ advisor $ av_budget
+      $ advisor_interval $ r_rows $ s_rows $ groups $ sorted $ sparse $ skew
+      $ seed)
 
 let () =
   let doc = "Deep Query Optimisation (CIDR 2020) — reproduction toolkit" in

@@ -18,8 +18,6 @@ type opts = {
   threads : int;
   feedback : bool;
   qerror_threshold : float;
-  learner : bool;
-  beam_width : int;
   hier : bool;
   hier_threshold : int;
   partition_max : int;
@@ -31,8 +29,6 @@ let default_opts =
     threads = 1;
     feedback = false;
     qerror_threshold = 2.0;
-    learner = false;
-    beam_width = 4;
     hier = false;
     hier_threshold = 16;
     partition_max = 12;
@@ -42,7 +38,6 @@ let check_opts o =
   if o.threads < 1 then invalid_arg "Engine.opts: threads < 1";
   if o.qerror_threshold < 1.0 then
     invalid_arg "Engine.opts: qerror_threshold < 1.0";
-  if o.beam_width < 1 then invalid_arg "Engine.opts: beam_width < 1";
   if o.hier_threshold < 1 then invalid_arg "Engine.opts: hier_threshold < 1";
   if o.partition_max < 1 then invalid_arg "Engine.opts: partition_max < 1";
   o
@@ -68,13 +63,6 @@ type t = {
      execution writes it, so toggling the option never loses what was
      already learned. *)
   corrections : Dqo_cost.Feedback.t;
-  (* The learned value model gating the join DP.  Same lifecycle rule
-     as [corrections]: always allocated, [opts.learner] gates use. *)
-  value_model : Dqo_learn.Learner.t;
-  (* Guardrail state: each time a beam-gated plan's execution regresses
-     past [qerror_threshold], the beam doubles; past [beam_cap] the
-     search goes back to exhaustive for good. *)
-  mutable beam_widenings : int;
 }
 
 let create ?(model = Dqo_cost.Model.table2) ?(opts = default_opts) () =
@@ -87,38 +75,15 @@ let create ?(model = Dqo_cost.Model.table2) ?(opts = default_opts) () =
     generation = 0;
     fks_index = Hashtbl.create 8;
     corrections = Dqo_cost.Feedback.create ();
-    value_model = Dqo_learn.Learner.create ();
-    beam_widenings = 0;
   }
 
 let opts t = t.opts
 let set_opts t o = t.opts <- check_opts o
 let av_generation t = t.generation
 let corrections t = t.corrections
-let learner t = t.value_model
-let beam_widenings t = t.beam_widenings
 
 (* The store the planner / analyser should consult right now. *)
 let active_feedback t = if t.opts.feedback then Some t.corrections else None
-
-(* The beam width planning should gate with right now: the configured
-   width doubled per guardrail widening, [None] (exhaustive) once that
-   escalation passes the cap — a workload the model keeps misjudging
-   stops being gated at all. *)
-let beam_cap = 32
-
-let effective_beam t =
-  if not t.opts.learner then None
-  else
-    let b = t.opts.beam_width lsl t.beam_widenings in
-    if b > beam_cap then None else Some b
-
-(* Whether a search started now would actually cut candidates: the gate
-   is configured, not widened past the cap, and the model is warm.
-   Captured per plan so the guardrail only reacts to executions of
-   genuinely gated plans. *)
-let gated_planning t =
-  effective_beam t <> None && Dqo_learn.Learner.ready t.value_model
 
 (* Per-call [?mode] / [?threads] overrides fall back to the handle's
    execution options. *)
@@ -181,19 +146,14 @@ let plan_in t ?pool ?threads mode l =
      realises the view's benefit. *)
   let l = Dqo_av.View.rewrite_through (installed_avs t) l in
   let feedback = active_feedback t in
-  let learner, beam =
-    match effective_beam t with
-    | Some b -> (Some t.value_model, Some b)
-    | None -> (None, None)
-  in
   let search ?pool () =
     if hier_route t l then
       fst
-        (Dqo_opt.Hier.optimize ~model:t.model ?pool ?feedback ?learner ?beam
+        (Dqo_opt.Hier.optimize ~model:t.model ?pool ?feedback
            ~partition_max:t.opts.partition_max search_mode t.catalog l)
     else
-      Dqo_opt.Search.optimize ~model:t.model ?pool ?feedback ?learner ?beam
-        search_mode t.catalog l
+      Dqo_opt.Search.optimize ~model:t.model ?pool ?feedback search_mode
+        t.catalog l
   in
   match pool with
   | Some _ -> search ?pool ()
@@ -312,6 +272,9 @@ let exec_join t ?pool ?metrics left_rel right_rel lc rc
     | Join.OJ -> Join.merge_join ~left:lk ~right:rk
     | Join.SOJ -> Join.sort_merge_join ~left:lk ~right:rk
     | Join.BSJ -> Join.binary_search_join ~left:lk ~right:rk
+    | Join.SPHJ when Int_col.length lk = 0 ->
+      (* An empty build side has no domain ([lo > hi]) and no matches. *)
+      { Join.left = [||]; right = [||] }
     | Join.SPHJ -> (
       (* The slot array covers the whole [lo, hi] domain; that is
          affordable whenever the domain is within a small factor of the
@@ -399,6 +362,9 @@ let group_fast t ?pool ?metrics rel key aggs payload_col
       Grouping.binary_search_based
         ~universe:(Dqo_util.Int_array.distinct_sorted (Int_col.to_array keys))
         ~keys ~values
+    | Grouping.SPHG when Int_col.length keys = 0 ->
+      (* An empty input has no domain ([lo > hi]) and no groups. *)
+      { Dqo_exec.Group_result.keys = [||]; counts = [||]; sums = [||] }
     | Grouping.SPHG -> (
       (* Same affordability rule as the SPH join: cover [lo, hi] with a
          direct slot array when the domain is within a small factor of
@@ -586,39 +552,8 @@ let learn_from_analysis t ?metrics plan root =
   | None -> ());
   max_q
 
-(* Fold one analysed execution into the learned value model: one NLMS
-   step per plan node, each on the features/estimate the search scored
-   with (or would have — [training_samples] re-estimates under the
-   {e current} correction store, which is why this must run before
-   [learn_from_analysis] shifts that store).  When the executed plan
-   was beam-gated, a worst-case q-error past the threshold trips the
-   guardrail: the beam doubles, and past [beam_cap] planning reverts to
-   exhaustive. *)
-let train_value_model t ?metrics ~gated plan root =
-  let samples =
-    Dqo_opt.Explain.training_samples ?feedback:(active_feedback t) t.catalog
-      plan root
-  in
-  List.iter
-    (fun (props, est, actual) ->
-      Dqo_learn.Learner.observe t.value_model
-        (Dqo_learn.Learner.featurize ~props ~rows:est)
-        ~est ~actual)
-    samples;
-  (match metrics with
-  | Some m ->
-    Dqo_obs.Metrics.incr ~by:(List.length samples) m "learn.observations"
-  | None -> ());
-  if gated && Dqo_opt.Explain.max_q_error root >= t.opts.qerror_threshold
-  then begin
-    t.beam_widenings <- t.beam_widenings + 1;
-    match metrics with
-    | Some m -> Dqo_obs.Metrics.incr m "learn.guardrail_widenings"
-    | None -> ()
-  end
-
 let execute_analyzed_in t ?metrics ?pool:shared_pool ?threads
-    ?(gated = false) (p : Physical.t) =
+    (p : Physical.t) =
   let threads =
     match shared_pool with
     | Some pool -> Dqo_par.Pool.size pool
@@ -691,10 +626,7 @@ let execute_analyzed_in t ?metrics ?pool:shared_pool ?threads
         Dqo_par.Pool.with_pool ~domains:threads (fun pool -> analyze ~pool ())
   in
   (* Learning happens after the whole tree is built: per-node estimation
-     above must read a store that does not change mid-analysis.  The
-     value model trains first, on estimates consistent with the store
-     the plan was ranked under. *)
-  if t.opts.learner then train_value_model t ~metrics:m ~gated p root;
+     above must read a store that does not change mid-analysis. *)
   if t.opts.feedback then ignore (learn_from_analysis t ~metrics:m p root);
   (rel, root)
 
@@ -709,22 +641,18 @@ let run t ?mode ?threads l =
   let mode = resolve_mode t mode in
   let threads = resolve_threads t threads in
   check_threads threads;
-  (* With feedback or the learner enabled, even plain [run]s execute
-     analysed so the stores keep learning from live traffic.  Whether
-     this plan is beam-gated is captured before planning: training
-     during execution must not change how the guardrail judges it. *)
-  let learning = t.opts.feedback || t.opts.learner in
-  let gated = gated_planning t in
+  (* With feedback enabled, even plain [run]s execute analysed so the
+     corrections store keeps learning from live traffic. *)
   if threads = 1 then
     let p = (plan_in t ~threads:1 mode l).Dqo_opt.Pareto.plan in
-    if learning then fst (execute_analyzed_in t ~threads:1 ~gated p)
+    if t.opts.feedback then fst (execute_analyzed_in t ~threads:1 p)
     else execute_in t p
   else
     (* One pool serves both phases: the search fans DP levels over it,
        then the chosen plan executes on the same domains. *)
     Dqo_par.Pool.with_pool ~domains:threads (fun pool ->
         let p = (plan_in t ~pool mode l).Dqo_opt.Pareto.plan in
-        if learning then fst (execute_analyzed_in t ~pool ~gated p)
+        if t.opts.feedback then fst (execute_analyzed_in t ~pool p)
         else execute_in t ~pool p)
 
 type analysis = {
@@ -750,34 +678,27 @@ let explain_analyze t l =
   (* One pool for both phases: the DP search records its [opt.dp.*]
      counters and per-level timings, then the plan executes on the same
      domains. *)
-  let learner, beam =
-    match effective_beam t with
-    | Some b -> (Some t.value_model, Some b)
-    | None -> (None, None)
-  in
-  let gated = gated_planning t in
   let go ?pool () =
     let entries, search_stats, hier =
       Dqo_obs.Metrics.span metrics "optimize" (fun () ->
           if hier_route t l then
             let entries, stats, report =
               Dqo_opt.Hier.optimize_entries ~model:t.model ?pool ~metrics
-                ?feedback:(active_feedback t) ?learner ?beam
+                ?feedback:(active_feedback t)
                 ~partition_max:t.opts.partition_max search_mode t.catalog l
             in
             (entries, stats, Some report)
           else
             let entries, stats =
               Dqo_opt.Search.optimize_entries ~model:t.model ?pool ~metrics
-                ?feedback:(active_feedback t) ?learner ?beam search_mode
-                t.catalog l
+                ?feedback:(active_feedback t) search_mode t.catalog l
             in
             (entries, stats, None))
     in
     let entry = Dqo_opt.Pareto.cheapest entries in
     let result, root =
       Dqo_obs.Metrics.span metrics "execute" (fun () ->
-          execute_analyzed_in t ~metrics ?pool ~threads ~gated
+          execute_analyzed_in t ~metrics ?pool ~threads
             entry.Dqo_opt.Pareto.plan)
     in
     { entry; root; result; search_stats; metrics; hier }
@@ -864,10 +785,6 @@ type prepared = {
   (* Worst per-node q-error observed while executing this plan since it
      was last (re-)prepared; 1.0 = every estimate was perfect. *)
   mutable p_worst_q : float;
-  (* Whether the plan came out of a beam-gated search: only then does a
-     q-error regression implicate the learner (drift-replan and
-     guardrail both key off this). *)
-  mutable p_gated : bool;
 }
 
 exception
@@ -885,7 +802,6 @@ let prepare_in t ?pool ?mode sql =
     entry = plan_in t ?pool mode (Dqo_sql.Binder.plan_of_sql t.catalog sql);
     p_generation = t.generation;
     p_worst_q = 1.0;
-    p_gated = gated_planning t;
   }
 
 let prepare t ?mode sql = prepare_in t ?mode sql
@@ -897,23 +813,18 @@ let prepared_mode p = p.p_mode
 let prepared_generation p = p.p_generation
 let prepared_stale t p = p.p_generation <> t.generation
 let prepared_worst_q p = p.p_worst_q
-let prepared_gated p = p.p_gated
 
 (* The plan has drifted: its observed misestimation crossed the
-   threshold, so replanning is warranted even though the physical
-   design is unchanged — either against the corrected feedback store,
-   or because a beam-gated plan regressed (the guardrail has widened
-   the beam by now, so the replan searches a larger space). *)
+   threshold, so replanning against the corrected feedback store is
+   warranted even though the physical design is unchanged. *)
 let prepared_drifted t p =
-  (t.opts.feedback || (t.opts.learner && p.p_gated))
-  && p.p_worst_q >= t.opts.qerror_threshold
+  t.opts.feedback && p.p_worst_q >= t.opts.qerror_threshold
 
 let reprepare_in t ?pool p =
   p.entry <-
     plan_in t ?pool p.p_mode (Dqo_sql.Binder.plan_of_sql t.catalog p.p_sql);
   p.p_generation <- t.generation;
-  p.p_worst_q <- 1.0;
-  p.p_gated <- gated_planning t
+  p.p_worst_q <- 1.0
 
 let reprepare t p = reprepare_in t p
 let reprepare_on t ~pool p = reprepare_in t ~pool p
@@ -937,28 +848,24 @@ let check_prepared t ?pool ~reprepare:re p =
   end
   else if re && prepared_drifted t p then reprepare_in t ?pool p
 
-(* With feedback or the learner on, prepared executions run analysed so
-   the stores keep learning and the statement tracks its own worst
-   q-error. *)
+(* With feedback on, prepared executions run analysed so the store
+   keeps learning and the statement tracks its own worst q-error. *)
 let run_prepared_feedback t ?metrics ?pool p =
   let rel, root =
-    execute_analyzed_in t ?metrics ?pool ~gated:p.p_gated
-      p.entry.Dqo_opt.Pareto.plan
+    execute_analyzed_in t ?metrics ?pool p.entry.Dqo_opt.Pareto.plan
   in
   p.p_worst_q <-
     Float.max p.p_worst_q (Dqo_opt.Explain.max_q_error root);
   rel
 
-let learning_opts t = t.opts.feedback || t.opts.learner
-
 let execute_prepared t ?metrics ?(reprepare = false) p =
   check_prepared t ~reprepare p;
-  if learning_opts t then run_prepared_feedback t ?metrics p
+  if t.opts.feedback then run_prepared_feedback t ?metrics p
   else execute t p.entry.Dqo_opt.Pareto.plan
 
 let execute_prepared_on t ~pool ?metrics ?(reprepare = false) p =
   check_prepared t ~pool ~reprepare p;
-  if learning_opts t then run_prepared_feedback t ?metrics ~pool p
+  if t.opts.feedback then run_prepared_feedback t ?metrics ~pool p
   else execute_on t ~pool p.entry.Dqo_opt.Pareto.plan
 
 (* ------------------------------------------------------------------ *)

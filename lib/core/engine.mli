@@ -38,18 +38,7 @@ type opts = {
       (** With [feedback], a prepared statement whose worst observed
           per-node q-error reaches this value is considered {e drifted}
           and auto-replans on the next opt-in execution (serving does
-          this transparently).  With [learner], a beam-gated execution
-          crossing it also trips the guardrail (the beam doubles — see
-          {!effective_beam}).  Must be at least 1.0. *)
-  learner : bool;
-      (** Gate the join DP with the learned value model ({!learner}):
-          planning cuts each join subset's frontier to the
-          [beam_width] best-scored entries once the model is warm, and
-          every [run] / prepared / analysed execution runs annotated,
-          training the model per plan node. *)
-  beam_width : int;
-      (** Entries the beam gate keeps per join subset (default 4, at
-          least 1); the guardrail doubles it per q-error regression. *)
+          this transparently).  Must be at least 1.0. *)
   hier : bool;
       (** Force hierarchical join planning ({!Dqo_opt.Hier}): partition
           the join graph, solve each partition with the exact DP, and
@@ -79,45 +68,28 @@ type opts = {
 
 val default_opts : opts
 (** [{ mode = DQO; threads = 1; feedback = false;
-      qerror_threshold = 2.0; learner = false; beam_width = 4;
-      hier = false; hier_threshold = 16; partition_max = 12 }]. *)
+      qerror_threshold = 2.0; hier = false; hier_threshold = 16;
+      partition_max = 12 }]. *)
 
 val create : ?model:Dqo_cost.Model.t -> ?opts:opts -> unit -> t
 (** Fresh engine; the cost model defaults to the paper's Table 2 and
     the execution options to {!default_opts}.
     @raise Invalid_argument if [opts.threads < 1],
-    [opts.qerror_threshold < 1.0], [opts.beam_width < 1],
-    [opts.hier_threshold < 1], or [opts.partition_max < 1]. *)
+    [opts.qerror_threshold < 1.0], [opts.hier_threshold < 1], or
+    [opts.partition_max < 1]. *)
 
 val opts : t -> opts
 
 val set_opts : t -> opts -> unit
 (** Replace the handle's execution options.
     @raise Invalid_argument if [opts.threads < 1],
-    [opts.qerror_threshold < 1.0], [opts.beam_width < 1],
-    [opts.hier_threshold < 1], or [opts.partition_max < 1]. *)
+    [opts.qerror_threshold < 1.0], [opts.hier_threshold < 1], or
+    [opts.partition_max < 1]. *)
 
 val corrections : t -> Dqo_cost.Feedback.t
 (** The handle's cardinality-correction store.  Always present;
     [opts.feedback] gates whether planning consults it and execution
     feeds it, so toggling the option preserves what was learned. *)
-
-val learner : t -> Dqo_learn.Learner.t
-(** The handle's learned value model.  Same lifecycle rule as
-    {!corrections}: always present, [opts.learner] gates whether
-    planning scores with it and execution trains it. *)
-
-val beam_widenings : t -> int
-(** How many times the q-error guardrail has widened the beam (each
-    widening doubles it); resets only with a fresh engine. *)
-
-val effective_beam : t -> int option
-(** The beam width planning would gate with right now:
-    [beam_width * 2{^ widenings}], or [None] when [opts.learner] is off
-    or the escalation passed the cap (32) — the permanent fall-back to
-    exhaustive search for a workload the model keeps misjudging.
-    [Some _] with a cold model still searches exhaustively until the
-    model warms up. *)
 
 val register : t -> name:string -> Dqo_data.Relation.t -> unit
 (** Add a base relation; its statistics (sortedness, density, distinct
@@ -298,16 +270,11 @@ val prepared_worst_q : prepared -> float
 (** Worst per-node q-error observed while executing this plan since it
     was last (re-)prepared; [1.0] before any feedback execution. *)
 
-val prepared_gated : prepared -> bool
-(** Whether the stored plan came out of a beam-gated search (learner on,
-    model warm, beam under the cap at prepare time). *)
-
 val prepared_drifted : t -> prepared -> bool
-(** {!prepared_worst_q} has reached [opts.qerror_threshold] under a
-    learning configuration — [opts.feedback], or [opts.learner] when
-    the stored plan was beam-gated: the plan was chosen from estimates
-    (or a pruned search) now known to be off by at least that factor,
-    and replanning is warranted. *)
+(** {!prepared_worst_q} has reached [opts.qerror_threshold] with
+    [opts.feedback] on: the plan was chosen from estimates now known to
+    be off by at least that factor, and replanning against the
+    corrected store is warranted. *)
 
 val reprepare : t -> prepared -> unit
 (** Re-optimise the stored plan against the current catalog (and, with

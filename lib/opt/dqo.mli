@@ -1,8 +1,9 @@
 (** Deep Query Optimisation — the paper's contribution.
 
-    The same dynamic programming as {!Sqo}, but over the full DQO
-    property vector (density, clustering, co-ordering, domain bounds in
-    addition to sortedness) and, with a molecule-aware cost model, over
+    The same dynamic programming as the shallow baseline
+    ({!Search.Shallow}), but over the full DQO property vector
+    (density, clustering, co-ordering, domain bounds in addition to
+    sortedness) and, with a molecule-aware cost model, over
     sub-operator alternatives (hash-table layout, hash function).  The
     SPH-based operators become reachable exactly when the tracked
     properties prove them applicable. *)

@@ -141,33 +141,6 @@ let residual_est (a : analyzed) =
   if input_ratio = 1.0 then a.est_rows
   else max 1 (int_of_float (Float.round (Float.of_int a.est_rows *. input_ratio)))
 
-(* Training samples for the learned value model: one
-   (props, est, actual) triple per node of an executed plan, with the
-   estimate recomputed by [estimate_props] under the same feedback
-   store the search planned with — so the model learns the residual
-   error of exactly the numbers that ranked the plan.  Re-estimating
-   per node is quadratic in plan depth, which is fine at query-plan
-   sizes. *)
-let training_samples ?feedback catalog (p : Physical.t) root =
-  let samples = ref [] in
-  let rec go (p : Physical.t) (a : analyzed) =
-    let props, est = estimate_props ?feedback catalog p in
-    samples := (props, est, a.actual_rows) :: !samples;
-    match (p, a.children) with
-    | ( ( Physical.Filter_op (sub, _, _)
-        | Physical.Project_op (sub, _)
-        | Physical.Sort_enforcer (sub, _)
-        | Physical.Group_op (sub, _, _, _) ),
-        [ c ] ) ->
-      go sub c
-    | Physical.Join_op (l, r, _, _, _), [ cl; cr ] ->
-      go l cl;
-      go r cr
-    | _, _ -> () (* leaf, or a shape mismatch we refuse to learn from *)
-  in
-  go p root;
-  List.rev !samples
-
 let observations catalog (p : Physical.t) root =
   let rec go (p : Physical.t) (a : analyzed) acc =
     let acc =
@@ -242,17 +215,7 @@ let render_analysis ?cost ?stats ?hier root =
                lv.Search.level lv.Search.subproblems
                lv.Search.level_generated lv.Search.level_kept
                lv.Search.level_pruned lv.Search.level_wall_ms))
-        s.Search.levels;
-      match s.Search.beam_width with
-      | Some k ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "  learner: beam=%d, %d scored, %d pruned by learner\n" k
-             s.Search.learner_scored s.Search.learner_pruned)
-      | None ->
-        if s.Search.learner_cold then
-          Buffer.add_string buf
-            "  learner: cold - exhaustive enumeration\n"
+        s.Search.levels
     end
   | None -> ());
   (match hier with

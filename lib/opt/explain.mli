@@ -69,24 +69,13 @@ val observations :
     signal and is skipped; a distinct-limited one is scored against
     [min est actual_input]. *)
 
-val training_samples :
-  ?feedback:Dqo_cost.Feedback.t -> Catalog.t -> Dqo_plan.Physical.t ->
-  analyzed -> (Dqo_plan.Props.t * int * int) list
-(** Pair an executed plan with its annotated tree and emit one
-    [(props, est_rows, actual_rows)] triple per node, in pre-order —
-    the raw material of the learned value model.  Estimates are
-    recomputed with {!estimate_props} under the same [?feedback] store
-    the search planned with, so the model trains on exactly the numbers
-    that ranked the plan. *)
-
 val render_analysis : ?cost:float -> ?stats:Search.stats
   -> ?hier:Hier.report -> analyzed -> string
 (** Human-readable EXPLAIN ANALYZE report: one row per node with
     estimated vs. actual rows, q-error, and cumulative time, plus the
     plan's estimated cost and the optimiser statistics when given —
-    including, for the join DP, per-level pruning counts and the
-    learned beam gate's activity (beam width, scored, pruned by
-    learner, or cold-fallback status).  With [?hier], the hierarchical
-    partition tree ({!Hier.render_report}) is appended. *)
+    including, for the join DP, per-level pruning counts.  With
+    [?hier], the hierarchical partition tree ({!Hier.render_report}) is
+    appended. *)
 
 val analyzed_to_json : analyzed -> Dqo_obs.Json.t

@@ -7,8 +7,8 @@ module Json = Dqo_obs.Json
    Neumann's query simplification, specialised to our Pareto-frontier
    search).  Planning cost drops from Θ(3^n) to
    Θ(P · 3^partition_max + 3^P) while each partition keeps the full
-   deep-optimisation treatment — pooled levels, learned beam gate,
-   feedback corrections, sort enforcers, molecule enumeration. *)
+   deep-optimisation treatment — pooled levels, feedback corrections,
+   sort enforcers, molecule enumeration. *)
 
 (* The pseudo relation name the outer skeleton scans; resolved through
    [Search.optimize_entries ~virtuals], never through the catalog. *)
@@ -130,22 +130,14 @@ let merge_stats ~outer ~pieces entries : Search.stats =
     enforcers_added = sum (fun (s : Search.stats) -> s.Search.enforcers_added) all;
     candidates_pruned = sum (fun (s : Search.stats) -> s.Search.candidates_pruned) all;
     dp_domains = (outer : Search.stats).Search.dp_domains;
-    beam_width =
-      List.fold_left
-        (fun acc (s : Search.stats) ->
-          match acc with Some _ -> acc | None -> s.Search.beam_width)
-        None all;
-    learner_scored = sum (fun (s : Search.stats) -> s.Search.learner_scored) all;
-    learner_pruned = sum (fun (s : Search.stats) -> s.Search.learner_pruned) all;
-    learner_cold = List.exists (fun (s : Search.stats) -> s.Search.learner_cold) all;
     trace = List.concat_map (fun (s : Search.stats) -> s.Search.trace) all;
     (* Partition levels first (for one partition this is exactly the
        exhaustive DP's level list), then the stitch DP's levels. *)
     levels = List.concat_map (fun (s : Search.stats) -> s.Search.levels) all;
   }
 
-let optimize_entries ?model ?pool ?metrics ?feedback ?learner ?beam
-    ?(partition_max = 12) mode catalog l =
+let optimize_entries ?model ?pool ?metrics ?feedback ?(partition_max = 12) mode
+    catalog l =
   if partition_max < 1 then
     invalid_arg "Hier.optimize_entries: partition_max < 1";
   let interesting = Search.interesting_columns l in
@@ -154,8 +146,7 @@ let optimize_entries ?model ?pool ?metrics ?feedback ?learner ?beam
   | None ->
     (* No join to partition: the plain search is already exact. *)
     let entries, stats =
-      Search.optimize_entries ?model ?pool ?metrics ?feedback ?learner ?beam
-        mode catalog l
+      Search.optimize_entries ?model ?pool ?metrics ?feedback mode catalog l
     in
     ( entries,
       stats,
@@ -179,8 +170,8 @@ let optimize_entries ?model ?pool ?metrics ?feedback ?learner ?beam
       Array.of_list
         (List.map
            (fun leaf ->
-             Search.optimize_entries ?model ?metrics ?feedback ?learner ?beam
-               ~interesting mode catalog leaf)
+             Search.optimize_entries ?model ?metrics ?feedback ~interesting
+               mode catalog leaf)
            leaves)
     in
     let leaf_frontiers = Array.map fst leaf_results in
@@ -228,8 +219,8 @@ let optimize_entries ?model ?pool ?metrics ?feedback ?learner ?beam
               resolved
           in
           let entries, stats =
-            Search.optimize_frontiers ?model ?pool ?metrics ?feedback ?learner
-              ?beam ~interesting
+            Search.optimize_frontiers ?model ?pool ?metrics ?feedback
+              ~interesting
               ~names:(Array.map (fun m -> leaf_names.(m)) member_arr)
               ~leaves:(Array.map (fun m -> leaf_frontiers.(m)) member_arr)
               ~predicates:local_preds mode catalog
@@ -293,7 +284,7 @@ let optimize_entries ?model ?pool ?metrics ?feedback ?learner ?beam
         List.rev_map fst kept
     in
     let stitched, stitch_stats =
-      Search.optimize_frontiers ?model ?pool ?metrics ?feedback ?learner ?beam
+      Search.optimize_frontiers ?model ?pool ?metrics ?feedback
         ~interesting:stitch_interesting
         ~names:
           (Array.of_list
@@ -307,8 +298,7 @@ let optimize_entries ?model ?pool ?metrics ?feedback ?learner ?beam
     in
     (* Splice the stitched frontier back under the outer skeleton. *)
     let entries, outer_stats =
-      Search.optimize_entries ?model ?metrics ?feedback ?learner ?beam
-        ~interesting
+      Search.optimize_entries ?model ?metrics ?feedback ~interesting
         ~virtuals:[ (hole, stitched) ]
         mode catalog skeleton
     in
@@ -342,11 +332,9 @@ let optimize_entries ?model ?pool ?metrics ?feedback ?learner ?beam
     in
     (entries, merge_stats ~outer:outer_stats ~pieces entries, report)
 
-let optimize ?model ?pool ?feedback ?learner ?beam ?partition_max mode catalog
-    l =
+let optimize ?model ?pool ?feedback ?partition_max mode catalog l =
   let entries, _, report =
-    optimize_entries ?model ?pool ?feedback ?learner ?beam ?partition_max mode
-      catalog l
+    optimize_entries ?model ?pool ?feedback ?partition_max mode catalog l
   in
   (Pareto.cheapest entries, report)
 

@@ -5,10 +5,10 @@
     deep-optimisation tension.  Following the classic multi-level
     enumeration line (Kossmann & Stocker's iterative DP, Neumann's
     query simplification), this module {e partitions} the join graph,
-    runs the existing {!Search} DP — pooled, learned-beam-gated,
-    feedback-corrected, Pareto-frontier-complete — exactly within each
-    partition, and stitches the partitions' frontiers with a top-level
-    DP over the quotient graph.  Above the cut only cross-partition
+    runs the existing {!Search} DP — pooled, feedback-corrected,
+    Pareto-frontier-complete — exactly within each partition, and
+    stitches the partitions' frontiers with a top-level DP over the
+    quotient graph.  Above the cut only cross-partition
     join columns and the outer query's keys can still pay off, so the
     stitch restricts its interesting-order set to those and each
     partition's exported frontier is pruned by dominance on the
@@ -60,8 +60,6 @@ val optimize_entries :
   ?pool:Dqo_par.Pool.t ->
   ?metrics:Dqo_obs.Metrics.t ->
   ?feedback:Dqo_cost.Feedback.t ->
-  ?learner:Dqo_learn.Learner.t ->
-  ?beam:int ->
   ?partition_max:int ->
   Search.mode ->
   Catalog.t ->
@@ -85,8 +83,6 @@ val optimize :
   ?model:Dqo_cost.Model.t ->
   ?pool:Dqo_par.Pool.t ->
   ?feedback:Dqo_cost.Feedback.t ->
-  ?learner:Dqo_learn.Learner.t ->
-  ?beam:int ->
   ?partition_max:int ->
   Search.mode ->
   Catalog.t ->

@@ -10,7 +10,6 @@ module Bitset = Dqo_util.Bitset
 module Pool = Dqo_par.Pool
 module Metrics = Dqo_obs.Metrics
 module Feedback = Dqo_cost.Feedback
-module Learner = Dqo_learn.Learner
 
 type mode = Shallow | Deep
 
@@ -34,7 +33,6 @@ type level_stat = {
   level_generated : int;
   level_kept : int;
   level_pruned : int;
-  level_beam_pruned : int;
   level_wall_ms : float;
 }
 
@@ -44,10 +42,6 @@ type stats = {
   enforcers_added : int;
   candidates_pruned : int;
   dp_domains : int;
-  beam_width : int option;
-  learner_scored : int;
-  learner_pruned : int;
-  learner_cold : bool;
   trace : trace_step list; (* in evaluation order *)
   levels : level_stat list; (* join-DP levels, ascending cardinality *)
 }
@@ -62,12 +56,6 @@ type ctx = {
   (* Correction factors learned from earlier executions; read-only
      during a search, so sharing it across DP workers is safe. *)
   feedback : Feedback.t option;
-  (* Learned value model gating the join DP: an immutable weight
-     snapshot (training never touches it mid-search, so the pooled
-     search stays byte-identical) and the beam width k — only the k
-     best-scored entries of each join subset survive into the next
-     level. *)
-  learner : (Learner.snapshot * int) option;
   (* Pre-planned frontiers spliced in under a pseudo relation name —
      the hierarchical optimiser's stitched join plans.  A [Scan] of a
      listed name returns its frontier verbatim. *)
@@ -75,8 +63,6 @@ type ctx = {
   mutable considered : int;
   mutable enforced : int;
   mutable pruned : int;
-  mutable scored : int; (* entries the learner scored *)
-  mutable beam_pruned : int; (* entries the beam gate cut *)
   mutable steps : trace_step list; (* reverse evaluation order *)
   mutable levels : level_stat list; (* reverse level order *)
 }
@@ -92,8 +78,6 @@ let sub_ctx ctx =
     considered = 0;
     enforced = 0;
     pruned = 0;
-    scored = 0;
-    beam_pruned = 0;
     steps = [];
     levels = [];
   }
@@ -184,45 +168,6 @@ let with_enforcers ctx step ~generated entries =
   count ctx (List.length enforced);
   let merged = Pareto.add_all survivors enforced in
   record_step ctx step ~generated ~enforcers:(List.length enforced) merged
-
-(* The learned beam gate: score every Pareto survivor of a join subset
-   with the value-model snapshot and keep only the k best (lowest
-   predicted true cost).  Ties break on estimated cost, then on the
-   rendered plan — a total, scheduling-independent order, so pooled
-   and sequential searches cut exactly the same entries. *)
-let beam_gate ctx entries =
-  match ctx.learner with
-  | None -> entries
-  | Some (snap, k) ->
-    let n = List.length entries in
-    ctx.scored <- ctx.scored + n;
-    if n <= k then entries
-    else begin
-      ctx.beam_pruned <- ctx.beam_pruned + (n - k);
-      let keyed =
-        List.map
-          (fun (e : Pareto.entry) ->
-            ( Learner.score snap ~cost:e.Pareto.cost
-                (Learner.featurize ~props:e.Pareto.props ~rows:e.Pareto.rows),
-              e ))
-          entries
-      in
-      let sorted =
-        List.stable_sort
-          (fun (sa, (a : Pareto.entry)) (sb, (b : Pareto.entry)) ->
-            match Float.compare sa sb with
-            | 0 -> (
-              match Float.compare a.Pareto.cost b.Pareto.cost with
-              | 0 ->
-                String.compare
-                  (Format.asprintf "%a" Physical.pp a.Pareto.plan)
-                  (Format.asprintf "%a" Physical.pp b.Pareto.plan)
-              | c -> c)
-            | c -> c)
-          keyed
-      in
-      List.filteri (fun i _ -> i < k) (List.map snd sorted)
-    end
 
 (* ------------------------------------------------------------------ *)
 (* Molecule enumeration: which (table, hash) pairs to consider for the
@@ -514,10 +459,7 @@ let dp_frontiers ctx ~leaf_names ~(leaf_sets : Pareto.entry list array)
      each time.  Splits whose halves are disconnected (not in the memo
      — only connected subsets are enumerated) or unconnectable
      contribute no candidates, exactly as they always did; the memo
-     lookup is cheaper than the predicate scan, so it goes first.  With
-     a learner, the beam gate cuts the merged Pareto frontier to the
-     top-k before it is recorded and memoised — the pruning that keeps
-     downstream candidate products flat. *)
+     lookup is cheaper than the predicate scan, so it goes first. *)
   let solve local s =
     let chunks = ref [] in
     Bitset.iter_subsets
@@ -541,14 +483,9 @@ let dp_frontiers ctx ~leaf_names ~(leaf_sets : Pareto.entry list array)
                 p1)))
       s;
     let candidates = List.concat !chunks in
-    let survivors = Pareto.add_all [] candidates in
-    let enforced = enforcer_variants local survivors in
-    count local (List.length enforced);
-    let merged = Pareto.add_all survivors enforced in
-    record_step local (subset_label s)
+    with_enforcers local (subset_label s)
       ~generated:(List.length candidates)
-      ~enforcers:(List.length enforced)
-      (beam_gate local merged)
+      candidates
   in
   (* One DP subproblem as a task: a private sub-context, timed, with
      its single trace step read back for the per-task metrics. *)
@@ -568,10 +505,6 @@ let dp_frontiers ctx ~leaf_names ~(leaf_sets : Pareto.entry list array)
       Metrics.incr m "opt.dp.subproblems";
       Metrics.incr ~by:generated m "opt.dp.candidates_generated";
       Metrics.incr ~by:kept m "opt.dp.pareto_kept";
-      (if ctx.learner <> None then begin
-         Metrics.incr ~by:local.scored m "opt.learn.scored";
-         Metrics.incr ~by:local.beam_pruned m "opt.learn.pruned"
-       end);
       Metrics.add_span_ns m "opt.dp.wall_ns" wall_ns);
     (entries, local)
   in
@@ -640,7 +573,7 @@ let dp_frontiers ctx ~leaf_names ~(leaf_sets : Pareto.entry list array)
     let results = run_level subs in
     let wall_ms = Float.of_int (Metrics.now_ns () - t0) /. 1e6 in
     let generated = ref 0 and kept = ref 0 in
-    let pruned = ref 0 and beam = ref 0 in
+    let pruned = ref 0 in
     Array.iteri
       (fun i (entries, (local : ctx)) ->
         Hashtbl.replace memo subs.(i) entries;
@@ -650,12 +583,9 @@ let dp_frontiers ctx ~leaf_names ~(leaf_sets : Pareto.entry list array)
           generated := !generated + st.generated;
           pruned := !pruned + st.pruned
         | [] | _ :: _ :: _ -> ());
-        beam := !beam + local.beam_pruned;
         ctx.considered <- ctx.considered + local.considered;
         ctx.enforced <- ctx.enforced + local.enforced;
         ctx.pruned <- ctx.pruned + local.pruned;
-        ctx.scored <- ctx.scored + local.scored;
-        ctx.beam_pruned <- ctx.beam_pruned + local.beam_pruned;
         ctx.steps <- local.steps @ ctx.steps)
       results;
     ctx.levels <-
@@ -665,7 +595,6 @@ let dp_frontiers ctx ~leaf_names ~(leaf_sets : Pareto.entry list array)
         level_generated = !generated;
         level_kept = !kept;
         level_pruned = !pruned;
-        level_beam_pruned = !beam;
         level_wall_ms = wall_ms;
       }
       :: ctx.levels
@@ -786,25 +715,7 @@ and group_candidates ctx (e : Pareto.entry) key aggs =
 
 (* ------------------------------------------------------------------ *)
 
-(* The search scores against one immutable snapshot: concurrent
-   training cannot shift scores mid-search, and a cold model (too few
-   observations) degrades to the exhaustive enumeration. *)
-let make_gate ?metrics ~beam learner =
-  if beam < 1 then invalid_arg "Search.optimize_entries: beam < 1";
-  let gate, cold =
-    match learner with
-    | None -> (None, false)
-    | Some lrn ->
-      let snap = Learner.snapshot lrn in
-      if Learner.snapshot_ready snap then (Some (snap, beam), false)
-      else (None, true)
-  in
-  (match (cold, metrics) with
-  | true, Some m -> Metrics.incr m "opt.learn.fallbacks"
-  | _ -> ());
-  (gate, cold)
-
-let make_ctx ~model ~pool ~metrics ~feedback ~gate ~interesting ~virtuals mode
+let make_ctx ~model ~pool ~metrics ~feedback ~interesting ~virtuals mode
     catalog =
   {
     mode;
@@ -814,59 +725,49 @@ let make_ctx ~model ~pool ~metrics ~feedback ~gate ~interesting ~virtuals mode
     pool;
     metrics;
     feedback;
-    learner = gate;
     virtuals;
     considered = 0;
     enforced = 0;
     pruned = 0;
-    scored = 0;
-    beam_pruned = 0;
     steps = [];
     levels = [];
   }
 
-let finish_stats ctx ~pool ~gate ~cold entries =
+let finish_stats ctx ~pool entries =
   {
     plans_considered = ctx.considered;
     pareto_kept = List.length entries;
     enforcers_added = ctx.enforced;
     candidates_pruned = ctx.pruned;
     dp_domains = (match pool with Some p -> Pool.size p | None -> 1);
-    beam_width = (match gate with Some (_, k) -> Some k | None -> None);
-    learner_scored = ctx.scored;
-    learner_pruned = ctx.beam_pruned;
-    learner_cold = cold;
     trace = List.rev ctx.steps;
     levels = List.rev ctx.levels;
   }
 
-let optimize_entries ?(model = Model.table2) ?pool ?metrics ?feedback ?learner
-    ?(beam = 4) ?interesting ?(virtuals = []) mode catalog l =
-  let gate, cold = make_gate ?metrics ~beam learner in
+let optimize_entries ?(model = Model.table2) ?pool ?metrics ?feedback
+    ?interesting ?(virtuals = []) mode catalog l =
   let interesting =
     match interesting with
     | Some cols -> cols
     | None -> interesting_columns l
   in
   let ctx =
-    make_ctx ~model ~pool ~metrics ~feedback ~gate ~interesting ~virtuals mode
+    make_ctx ~model ~pool ~metrics ~feedback ~interesting ~virtuals mode
       catalog
   in
   let entries = plan_node ctx l in
-  (entries, finish_stats ctx ~pool ~gate ~cold entries)
+  (entries, finish_stats ctx ~pool entries)
 
 let optimize_frontiers ?(model = Model.table2) ?pool ?metrics ?feedback
-    ?learner ?(beam = 4) ?(interesting = []) ~names ~leaves ~predicates mode
-    catalog =
-  let gate, cold = make_gate ?metrics ~beam learner in
+    ?(interesting = []) ~names ~leaves ~predicates mode catalog =
   let ctx =
-    make_ctx ~model ~pool ~metrics ~feedback ~gate ~interesting ~virtuals:[]
-      mode catalog
+    make_ctx ~model ~pool ~metrics ~feedback ~interesting ~virtuals:[] mode
+      catalog
   in
   let entries =
     dp_frontiers ctx ~leaf_names:names ~leaf_sets:leaves ~predicates
   in
-  (entries, finish_stats ctx ~pool ~gate ~cold entries)
+  (entries, finish_stats ctx ~pool entries)
 
 let step_to_json (s : trace_step) =
   Dqo_obs.Json.Obj
@@ -886,7 +787,6 @@ let level_to_json (lv : level_stat) =
       ("candidates_generated", Dqo_obs.Json.Int lv.level_generated);
       ("pareto_kept", Dqo_obs.Json.Int lv.level_kept);
       ("pruned", Dqo_obs.Json.Int lv.level_pruned);
-      ("beam_pruned", Dqo_obs.Json.Int lv.level_beam_pruned);
       ("wall_ms", Dqo_obs.Json.Float lv.level_wall_ms);
     ]
 
@@ -898,21 +798,12 @@ let stats_to_json (s : stats) =
       ("enforcers_added", Dqo_obs.Json.Int s.enforcers_added);
       ("candidates_pruned", Dqo_obs.Json.Int s.candidates_pruned);
       ("dp_domains", Dqo_obs.Json.Int s.dp_domains);
-      ( "beam_width",
-        match s.beam_width with
-        | Some k -> Dqo_obs.Json.Int k
-        | None -> Dqo_obs.Json.Null );
-      ("learner_scored", Dqo_obs.Json.Int s.learner_scored);
-      ("learner_pruned", Dqo_obs.Json.Int s.learner_pruned);
-      ("learner_cold", Dqo_obs.Json.Bool s.learner_cold);
       ("trace", Dqo_obs.Json.List (List.map step_to_json s.trace));
       ("levels", Dqo_obs.Json.List (List.map level_to_json s.levels));
     ]
 
-let optimize ?model ?pool ?feedback ?learner ?beam mode catalog l =
-  let entries, _ =
-    optimize_entries ?model ?pool ?feedback ?learner ?beam mode catalog l
-  in
+let optimize ?model ?pool ?feedback mode catalog l =
+  let entries, _ = optimize_entries ?model ?pool ?feedback mode catalog l in
   Pareto.cheapest entries
 
 let improvement_factor ?model ?pool ?feedback catalog l =

@@ -22,18 +22,7 @@
     the pool and merge back at a barrier, in subset order.  Following
     the [Dqo_par] determinism contract, the chosen plan, costs, Pareto
     frontiers, counters, and trace are byte-identical for any pool
-    size.
-
-    {b Learned beam gate.}  With [?learner], every join subset's Pareto
-    frontier is additionally cut to the [?beam] entries whose
-    {!Dqo_learn.Learner.score} (estimated cost × predicted
-    misestimation) is lowest, before the frontier is memoised — the
-    pruning that keeps candidate products flat as join count grows.
-    Scoring reads one immutable weight snapshot taken up front and ties
-    break on (score, cost, rendered plan), so pooled and sequential
-    gated searches stay byte-identical and concurrent training cannot
-    perturb a running search.  A cold model (below its observation
-    threshold) leaves the search exhaustive. *)
+    size. *)
 
 type mode = Shallow | Deep
 
@@ -53,12 +42,9 @@ type level_stat = {
   level_generated : int;  (** Join candidates generated across the level. *)
   level_kept : int;  (** Pareto entries surviving across the level. *)
   level_pruned : int;
-      (** Candidates cut across the level — dominance and beam
-          together, [generated + enforcers - kept] summed over the
-          level's subsets. *)
-  level_beam_pruned : int;
-      (** Of {!level_pruned}, the entries the learned beam gate cut
-          (always [0] without a learner). *)
+      (** Candidates dominated away across the level,
+          [generated + enforcers - kept] summed over the level's
+          subsets. *)
   level_wall_ms : float;
       (** Wall time of the level, barrier to barrier — the quantity
           parallel search shrinks.  The only field that varies between
@@ -71,14 +57,6 @@ type stats = {
   enforcers_added : int;  (** Sort enforcers generated overall. *)
   candidates_pruned : int;  (** Entries dominated away overall. *)
   dp_domains : int;  (** Pool size the search ran with (1 = sequential). *)
-  beam_width : int option;
-      (** The beam width the gate ran with; [None] when no learner was
-          supplied or the model was cold (exhaustive search). *)
-  learner_scored : int;  (** Entries the value model scored. *)
-  learner_pruned : int;  (** Entries the beam gate cut. *)
-  learner_cold : bool;
-      (** A learner was supplied but had too few observations — the
-          search fell back to exhaustive enumeration. *)
   trace : trace_step list;  (** Per-DP-step breakdown, in evaluation order. *)
   levels : level_stat list;
       (** Join-DP levels in ascending cardinality; empty for queries
@@ -98,8 +76,6 @@ val optimize_entries :
   ?pool:Dqo_par.Pool.t ->
   ?metrics:Dqo_obs.Metrics.t ->
   ?feedback:Dqo_cost.Feedback.t ->
-  ?learner:Dqo_learn.Learner.t ->
-  ?beam:int ->
   ?interesting:string list ->
   ?virtuals:(string * Pareto.entry list) list ->
   mode ->
@@ -115,10 +91,7 @@ val optimize_entries :
     multiplied by the store's learned correction factor (filters stay
     capped at their input, group counts at [\[1, rows\]]); the store is
     only read, so the pooled search stays byte-identical to the
-    sequential one.  With [?learner] (and the model warm), each join
-    subset's frontier is beam-gated to the [?beam] (default [4])
-    best-scored entries; [opt.learn.scored] / [opt.learn.pruned] count
-    the gate's work, [opt.learn.fallbacks] counts cold-model searches.
+    sequential one.
 
     [?interesting] overrides the sort-enforcer column set normally
     derived from the query ({!interesting_columns}) — the hierarchical
@@ -132,15 +105,13 @@ val optimize_entries :
     @raise Not_found if the query mentions a relation absent from the
     catalog;
     @raise Invalid_argument if a join has no connecting predicate (cross
-    products are not enumerated), or if [beam < 1]. *)
+    products are not enumerated). *)
 
 val optimize_frontiers :
   ?model:Dqo_cost.Model.t ->
   ?pool:Dqo_par.Pool.t ->
   ?metrics:Dqo_obs.Metrics.t ->
   ?feedback:Dqo_cost.Feedback.t ->
-  ?learner:Dqo_learn.Learner.t ->
-  ?beam:int ->
   ?interesting:string list ->
   names:string array ->
   leaves:Pareto.entry list array ->
@@ -156,10 +127,10 @@ val optimize_frontiers :
     unresolvable predicates are dropped.  A single leaf returns its
     frontier verbatim (no DP levels run), which is what makes
     one-partition hierarchical planning byte-identical to the
-    exhaustive search.  Pool, feedback, learner, and determinism
-    behave exactly as in {!optimize_entries}.
-    @raise Invalid_argument if [leaves] is empty, the (quotient) join
-    graph is disconnected, or [beam < 1]. *)
+    exhaustive search.  Pool, feedback, and determinism behave exactly
+    as in {!optimize_entries}.
+    @raise Invalid_argument if [leaves] is empty, or the (quotient)
+    join graph is disconnected. *)
 
 val interesting_columns : Dqo_plan.Logical.t -> string list
 (** Every column a sort enforcer could later pay off on: join columns
@@ -178,8 +149,6 @@ val optimize :
   ?model:Dqo_cost.Model.t ->
   ?pool:Dqo_par.Pool.t ->
   ?feedback:Dqo_cost.Feedback.t ->
-  ?learner:Dqo_learn.Learner.t ->
-  ?beam:int ->
   mode ->
   Catalog.t ->
   Dqo_plan.Logical.t ->

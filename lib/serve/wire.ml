@@ -99,8 +99,7 @@ let stats_line st =
   Printf.sprintf
     "ok stats requests=%d rejected=%d replans=%d feedback_replans=%d \
      rows_out=%d p50_ms=%.3f p95_ms=%.3f p99_ms=%.3f last_max_q=%.2f \
-     advisor_installed=%d advisor_evicted=%d learner_observations=%d \
-     learned_beam=%d"
+     advisor_installed=%d advisor_evicted=%d"
     (Metrics.counter m "serve.requests")
     (Metrics.counter m "serve.rejected")
     (Metrics.counter m "serve.replans")
@@ -112,14 +111,6 @@ let stats_line st =
     (Dqo_cost.Feedback.last_max_q (Dqo_engine.Engine.corrections engine))
     (Metrics.counter m "advisor.installed")
     (Metrics.counter m "advisor.evicted")
-    (Dqo_learn.Learner.observations (Dqo_engine.Engine.learner engine))
-    (* 0 = the gate is not cutting anything right now: learner off,
-       model still cold, or the guardrail escalated past the cap. *)
-    (match Dqo_engine.Engine.effective_beam engine with
-    | Some k when Dqo_learn.Learner.ready (Dqo_engine.Engine.learner engine)
-      ->
-      k
-    | Some _ | None -> 0)
 
 (* Split off the first [n] whitespace-separated tokens; the remainder
    (for [prepare]'s SQL) keeps its internal spacing. *)

@@ -20,16 +20,12 @@
       sum=<digest>] (digest only — pair with [exec] to fetch rows)
     - [stats] → one [ok stats requests=... rejected=... replans=...
       feedback_replans=... rows_out=... p50_ms=... p95_ms=... p99_ms=...
-      last_max_q=... advisor_installed=... advisor_evicted=...
-      learner_observations=... learned_beam=...] line
+      last_max_q=... advisor_installed=... advisor_evicted=...] line
       ([feedback_replans] counts drift-triggered re-optimisations;
       [last_max_q] is the worst per-node q-error of the latest
       execution the feedback loop learned from; the [advisor_*]
       counters track online AV materialisations and evictions, [0]
-      when the advisor is off; [learner_observations] counts value-model
-      training samples and [learned_beam] is the beam width currently
-      gating planning — [0] when the learner is off, cold, or widened
-      past the cap)
+      when the advisor is off)
     - [advise] → force one advisor round and answer
       [ok advisor installed=<n> evicted=<n> bytes=<resident>], or
       [error ...] when the server was started without [--advisor]

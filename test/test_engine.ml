@@ -452,6 +452,41 @@ let test_binder_errors () =
   expect_error "SELECT a FROM R WHERE";
   expect_error "SELECT a, FROM R"
 
+(* --- empty SPH inputs ------------------------------------------------- *)
+
+(* Three 2k-row tables Ti(ki dense key, fi fk).  The filters contradict
+   each other through [f1 = k2], so the join input the deep planner
+   sends to a perfect-hash operator is empty at execution: an empty
+   input must give an empty result, not an exception. *)
+let test_empty_sph_input () =
+  let rng = Dqo_util.Rng.create ~seed:81 in
+  let rows = 2_000 in
+  let db = Engine.create () in
+  for i = 0 to 2 do
+    let keys = Array.init rows Fun.id in
+    Dqo_util.Rng.shuffle rng keys;
+    Engine.register db
+      ~name:(Printf.sprintf "T%d" i)
+      (Relation.create
+         (Schema.of_names
+            [ (Printf.sprintf "k%d" i, Schema.T_int);
+              (Printf.sprintf "f%d" i, Schema.T_int) ])
+         [ Dqo_data.Column.of_ints keys;
+           Dqo_data.Column.of_ints
+             (Array.init rows (fun _ -> Dqo_util.Rng.int rng rows)) ])
+  done;
+  let sql =
+    "SELECT k1, COUNT(*) AS c FROM T0 JOIN T1 ON f0 = k1 JOIN T2 ON f1 = k2 \
+     WHERE f1 <= 824 AND k2 >= 1080 GROUP BY k1"
+  in
+  List.iter
+    (fun threads ->
+      let rel = Engine.run_sql db ~mode:Engine.DQO ~threads sql in
+      Alcotest.(check int)
+        (Printf.sprintf "empty result at %d threads" threads)
+        0 (Relation.cardinality rel))
+    [ 1; 2 ]
+
 (* --- hierarchical routing ------------------------------------------- *)
 
 let hier_sql = "SELECT a, COUNT(*) AS cnt FROM R JOIN S ON id = r_id GROUP BY a"
@@ -557,6 +592,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_engine_fuzz_single_table;
           QCheck_alcotest.to_alcotest prop_engine_fuzz_join;
         ] );
+      ( "empty-sph",
+        [ Alcotest.test_case "empty input, empty result" `Quick
+            test_empty_sph_input ] );
       ( "sql",
         [
           Alcotest.test_case "explain" `Quick test_explain_sql;

@@ -187,4 +187,17 @@ test "$(grep '^result rows=' "$adv_out" | sed 's/.*sum=//' | sort -u | wc -l)" =
 grep '^ok stats' "$adv_out" | grep -q 'advisor_installed=[1-9]' \
   || { echo "ci: stats does not report the install" >&2; exit 1; }
 
+echo "== perfbench sec43-serve smoke =="
+# The served section-4.3 request over the wire, checked reply by reply
+# against the benchmark's reference evaluator.  Gates only on
+# correctness and failures, never on times.
+pb_out="$(mktemp -t perfbench_smoke_XXXXXX.txt)"
+trap 'rm -f "$out" "$hr_out" "$ps_out" "$ps_log" "$serve_out" "$fb_out" "$adv_out" "$pb_out"' EXIT
+python3 perfbench/run.py --workload sec43-serve --seconds 3 > "$pb_out" \
+  || { echo "ci: perfbench sec43-serve run failed" >&2; exit 1; }
+tail -n 1 "$pb_out" | grep -q '"correct": true' \
+  || { echo "ci: perfbench sec43-serve results not correct" >&2; exit 1; }
+tail -n 1 "$pb_out" | grep -q '"failed": 0,' \
+  || { echo "ci: perfbench sec43-serve had failed requests" >&2; exit 1; }
+
 echo "ci: OK"

@@ -2,7 +2,6 @@ module Relation = Dqo_data.Relation
 module Schema = Dqo_data.Schema
 module Column = Dqo_data.Column
 module Int_col = Dqo_data.Int_col
-module Col_stats = Dqo_data.Col_stats
 module Physical = Dqo_plan.Physical
 module Logical = Dqo_plan.Logical
 module Catalog = Dqo_opt.Catalog
@@ -250,11 +249,25 @@ let fks_join fks ~left ~right =
     !lbuf !rbuf;
   { Join.left = l; right = r }
 
+(* The slot array of an SPH kernel covers the whole [lo, hi] domain of
+   its key column; that is affordable whenever the domain is within a
+   small factor of the input (a dense base column stays eligible even
+   when a join or filter thinned it out).  [None] means a truly sparse
+   domain, which needs the FKS perfect hash built offline by an AV.  The
+   bounds come from one min/max scan: the planner already chose SPH
+   from the catalog's statistics, so nothing else is measured here. *)
+let sph_bounds col =
+  let lo, hi = Int_col.min_max col in
+  match Int_col.range lo hi with
+  | Some range when range <= 4 * (Int_col.length col + 1024) -> Some (lo, hi)
+  | Some _ | None -> None
+
 (* [pool]/[metrics] thread the parallel runtime through the executor:
    when a pool with more than one domain is present, the hot operators
    run their [Dqo_par] counterparts (per-domain metrics registries merge
-   into [metrics] after each barrier). *)
-let exec_join t ?pool ?metrics left_rel right_rel lc rc
+   into [metrics] after each barrier).  [need] lists the output columns
+   the parent reads ([None]: all of them). *)
+let exec_join t ?pool ?metrics ?need left_rel right_rel lc rc
     (impl : Physical.join_impl) =
   let lk = Relation.int_col left_rel lc in
   let rk = Relation.int_col right_rel rc in
@@ -276,25 +289,17 @@ let exec_join t ?pool ?metrics left_rel right_rel lc rc
       (* An empty build side has no domain ([lo > hi]) and no matches. *)
       { Join.left = [||]; right = [||] }
     | Join.SPHJ -> (
-      (* The slot array covers the whole [lo, hi] domain; that is
-         affordable whenever the domain is within a small factor of the
-         input (a dense base column stays eligible even when a join or
-         filter thinned it out).  Truly sparse domains need the FKS
-         perfect hash built offline by an AV. *)
-      let stats = Col_stats.analyze lk in
-      let range = stats.Col_stats.hi - stats.Col_stats.lo + 1 in
-      if range > 0 && range <= 4 * (Int_col.length lk + 1024) then
-        Join.sph_join ~lo:stats.Col_stats.lo ~hi:stats.Col_stats.hi ~left:lk
-          ~right:rk
-      else
+      match sph_bounds lk with
+      | Some (lo, hi) -> Join.sph_join ~lo ~hi ~left:lk ~right:rk
+      | None -> (
         match Hashtbl.find_opt t.fks_index lc with
         | Some fks -> fks_join fks ~left:lk ~right:rk
         | None ->
           invalid_arg
             ("Engine: SPHJ chosen for sparse column " ^ lc
-           ^ " without a perfect-hash AV"))
+           ^ " without a perfect-hash AV")))
   in
-  Join.materialize left_rel right_rel pairs
+  Join.materialize ?only:need left_rel right_rel pairs
 
 (* The five-algorithm fast path computes COUNT and SUM over one payload
    column; it applies when every aggregate is COUNT or SUM over a single
@@ -366,26 +371,19 @@ let group_fast t ?pool ?metrics rel key aggs payload_col
       (* An empty input has no domain ([lo > hi]) and no groups. *)
       { Dqo_exec.Group_result.keys = [||]; counts = [||]; sums = [||] }
     | Grouping.SPHG -> (
-      (* Same affordability rule as the SPH join: cover [lo, hi] with a
-         direct slot array when the domain is within a small factor of
-         the input; fall back to an FKS perfect-hash AV otherwise. *)
-      let stats = Col_stats.analyze keys in
-      let range = stats.Col_stats.hi - stats.Col_stats.lo + 1 in
-      if range > 0 && range <= 4 * (Int_col.length keys + 1024) then
+      (* Same affordability rule as the SPH join. *)
+      match sph_bounds keys with
+      | Some (lo, hi) -> (
         match parallel with
-        | Some pool ->
-          Dqo_par.Par_group.sph pool ?metrics ~lo:stats.Col_stats.lo
-            ~hi:stats.Col_stats.hi ~keys ~values ()
-        | None ->
-          Grouping.sph_based ~lo:stats.Col_stats.lo ~hi:stats.Col_stats.hi
-            ~keys ~values
-      else
+        | Some pool -> Dqo_par.Par_group.sph pool ?metrics ~lo ~hi ~keys ~values ()
+        | None -> Grouping.sph_based ~lo ~hi ~keys ~values)
+      | None -> (
         match Hashtbl.find_opt t.fks_index key with
         | Some fks -> fks_grouping fks ~keys ~values
         | None ->
           invalid_arg
             ("Engine: SPHG chosen for sparse column " ^ key
-           ^ " without a perfect-hash AV"))
+           ^ " without a perfect-hash AV")))
   in
   let agg_column (a : Logical.aggregate) =
     match a.Logical.spec with
@@ -491,22 +489,49 @@ let group_generic rel key aggs =
   in
   Relation.create schema (Column.of_ints key_arr :: List.map snd typed)
 
-let rec execute_in t ?pool (p : Physical.t) =
+(* Late materialisation.  Every node is evaluated knowing [need], the
+   columns its parent reads ([None] at the root, which keeps its full
+   schema); a join gathers only those.  Nodes below it may return more
+   columns than needed — parents address columns by name.  A primed name
+   is a right-side clash renamed by [Schema.concat]; which names clash
+   depends on what the inputs keep, so a join whose parent reads one
+   gathers everything. *)
+let with_col need col = Option.map (fun names -> col :: names) need
+
+let join_need need =
+  match need with
+  | Some names when List.exists (fun n -> String.contains n '\'') names -> None
+  | need -> need
+
+let group_reads key aggs =
+  key :: List.filter_map (fun (a : Logical.aggregate) -> a.Logical.column) aggs
+
+(* One plan node; [child need sub] evaluates an input.  Inputs are
+   evaluated left to right. *)
+let exec_node t ?pool ?metrics ~need ~child (p : Physical.t) =
   match p with
   | Physical.Table_scan name -> relation t name
   | Physical.Filter_op (sub, col, pred) ->
-    Dqo_exec.Filter.select_relation (execute_in t ?pool sub) ~column:col pred
+    Dqo_exec.Filter.select_relation (child (with_col need col) sub) ~column:col
+      pred
   | Physical.Project_op (sub, cols) ->
-    Relation.project (execute_in t ?pool sub) cols
+    Relation.project (child (Some cols) sub) cols
   | Physical.Sort_enforcer (sub, col) ->
-    Dqo_exec.Sort_op.by_column (execute_in t ?pool sub) col
+    Dqo_exec.Sort_op.by_column (child (with_col need col) sub) col
   | Physical.Join_op (l, r, lc, rc, impl) ->
-    exec_join t ?pool (execute_in t ?pool l) (execute_in t ?pool r) lc rc impl
+    let need = join_need need in
+    let lr = child (with_col need lc) l in
+    let rr = child (with_col need rc) r in
+    exec_join t ?pool ?metrics ?need lr rr lc rc impl
   | Physical.Group_op (sub, key, aggs, impl) -> (
-    let rel = execute_in t ?pool sub in
+    let rel = child (Some (group_reads key aggs)) sub in
     match fast_path_payload aggs with
-    | Some payload -> group_fast t ?pool rel key aggs payload impl
+    | Some payload -> group_fast t ?pool ?metrics rel key aggs payload impl
     | None -> group_generic rel key aggs)
+
+let execute_in t ?pool p =
+  let rec go need p = exec_node t ?pool ~need ~child:go p in
+  go None p
 
 (* [run]/[run_sql] surface thread validation under the execute
    contract, and callers pin that message. *)
@@ -567,33 +592,16 @@ let execute_analyzed_in t ?metrics ?pool:shared_pool ?threads
      node label carries its [dop] annotation. *)
   let p = if threads > 1 then Physical.with_dop threads p else p in
   let analyze ?pool () =
-  let rec go p =
+  let rec go need p =
     let t0 = Dqo_obs.Metrics.now_ns () in
-    let rel, children =
-      match p with
-      | Physical.Table_scan name -> (relation t name, [])
-      | Physical.Filter_op (sub, col, pred) ->
-        let r, c = go sub in
-        (Dqo_exec.Filter.select_relation r ~column:col pred, [ c ])
-      | Physical.Project_op (sub, cols) ->
-        let r, c = go sub in
-        (Relation.project r cols, [ c ])
-      | Physical.Sort_enforcer (sub, col) ->
-        let r, c = go sub in
-        (Dqo_exec.Sort_op.by_column r col, [ c ])
-      | Physical.Join_op (l, r, lc, rc, impl) ->
-        let lr, lc' = go l in
-        let rr, rc' = go r in
-        (exec_join t ?pool ~metrics:m lr rr lc rc impl, [ lc'; rc' ])
-      | Physical.Group_op (sub, key, aggs, impl) ->
-        let rel, c = go sub in
-        let grouped =
-          match fast_path_payload aggs with
-          | Some payload -> group_fast t ?pool ~metrics:m rel key aggs payload impl
-          | None -> group_generic rel key aggs
-        in
-        (grouped, [ c ])
+    let kids = ref [] in
+    let child need sub =
+      let r, c = go need sub in
+      kids := c :: !kids;
+      r
     in
+    let rel = exec_node t ?pool ~metrics:m ~need ~child p in
+    let children = List.rev !kids in
     let wall_ns = Dqo_obs.Metrics.now_ns () - t0 in
     let actual_rows = Relation.cardinality rel in
     let rows_in =
@@ -615,7 +623,7 @@ let execute_analyzed_in t ?metrics ?pool:shared_pool ?threads
         children;
       } )
   in
-  go p
+  go None p
   in
   let rel, root =
     match shared_pool with

@@ -56,15 +56,21 @@ let analyze col =
       end
       else Dqo_util.Int_array.count_distinct (Int_col.to_array col)
     in
-    let range = hi - lo + 1 in
-    let dense = range <= 2 * distinct in
+    let dense =
+      match Int_col.range lo hi with
+      | Some range -> range <= 2 * distinct
+      | None -> false
+    in
     let clustered = if sorted then true else is_clustered col in
     { sorted; distinct; lo; hi; dense; clustered }
   end
 
 let density_ratio t =
-  let range = t.hi - t.lo + 1 in
-  if range <= 0 then 0.0 else Float.of_int t.distinct /. Float.of_int range
+  match Int_col.range t.lo t.hi with
+  | Some range when range > 0 -> Float.of_int t.distinct /. Float.of_int range
+  | Some _ -> 0.0
+  | None ->
+    Float.of_int t.distinct /. (Float.of_int t.hi -. Float.of_int t.lo +. 1.0)
 
 let pp ppf t =
   Format.fprintf ppf

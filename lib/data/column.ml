@@ -25,9 +25,21 @@ let int_col = function
 
 let to_int_array c = Int_col.to_array (int_col c)
 
+(* Bounds-checked gather from a flat array, without a closure per row. *)
+let gather a idx =
+  let n = Array.length idx in
+  let dst = Array.make n 0 in
+  for k = 0 to n - 1 do
+    Array.unsafe_set dst k a.(Array.unsafe_get idx k)
+  done;
+  dst
+
 let take c idx =
   match c with
-  | Ints c -> of_ints (Array.map (fun i -> Int_col.get c i) idx)
+  | Ints c -> (
+    match Int_col.as_flat_array c with
+    | Some a -> of_ints (gather a idx)
+    | None -> of_ints (Array.map (fun i -> Int_col.get c i) idx))
   | Floats a -> Floats (Array.map (fun i -> a.(i)) idx)
   | Strings a -> Strings (Array.map (fun i -> a.(i)) idx)
 

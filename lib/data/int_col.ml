@@ -331,6 +331,14 @@ let min_max t =
       done);
   (!lo, !hi)
 
+(* [hi - lo] wraps negative exactly when the true difference exceeds
+   [max_int]; the [+ 1] then overflows only at [max_int] itself. *)
+let range lo hi =
+  if hi < lo then Some 0
+  else
+    let d = hi - lo in
+    if d < 0 || d = max_int then None else Some (d + 1)
+
 let equal a b =
   length a = length b
   &&

@@ -138,5 +138,12 @@ val is_sorted : t -> bool
 val min_max : t -> int * int
 (** @raise Invalid_argument on an empty column. *)
 
+val range : int -> int -> int option
+(** [range lo hi] is the number of integers in [\[lo, hi\]] ([Some 0]
+    when [hi < lo]), or [None] when that count does not fit in an
+    [int] — e.g. [range (min_int + 1) max_int].  Every domain-size
+    check goes through it, so a full-range domain never wraps into a
+    small positive size. *)
+
 val equal : t -> t -> bool
 (** Content equality, independent of backend. *)

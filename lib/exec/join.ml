@@ -97,26 +97,64 @@ let hash_join ?(hash = Dqo_hash.Hash_fn.Murmur3) ?(table = Grouping.Chaining)
       (Dqo_hash.Robin_hood.create ~hash ~expected:n ()));
   buf_result b
 
+(* The build side is laid out by slot, counting-sort style: the left
+   row ids of slot [s] sit contiguously in [rows.(run.(s) .. run.(s + 1)
+   - 1)], most recent first.  A probe reads one run instead of chasing
+   a chain of dependent loads through a row-sized [next] array, which
+   missed the cache on every hop.  A counting pass over the probe side
+   sizes the pair buffer exactly. *)
 let sph_join ~lo ~hi ~left ~right =
   if hi < lo then invalid_arg "Join.sph_join: hi < lo";
-  let domain = hi - lo + 1 in
-  let n = Int_col.length left in
-  let head = Array.make domain (-1) in
-  let next = Array.make (max 1 n) (-1) in
-  Int_col.iter_seg left ~f:(fun pos buf off len ->
-      for k = 0 to len - 1 do
-        let i = pos + k in
-        let key = Array.unsafe_get buf (off + k) in
+  let domain =
+    match Int_col.range lo hi with
+    | Some d when d < max_int -> d
+    | Some _ | None -> invalid_arg "Join.sph_join: domain exceeds max_int"
+  in
+  (* [run.(s)] counts the keys in slots [0..s], i.e. ends at the end of
+     run [s]; the scatter then moves it back to the start of the run. *)
+  let run = Array.make (domain + 1) 0 in
+  Int_col.iter_seg left ~f:(fun _ buf off len ->
+      for k = off to off + len - 1 do
+        let key = Array.unsafe_get buf k in
         if key < lo || key > hi then
           invalid_arg "Join.sph_join: build key outside dense domain";
-        let slot = key - lo in
-        next.(i) <- head.(slot);
-        head.(slot) <- i
+        let s = key - lo in
+        Array.unsafe_set run s (Array.unsafe_get run s + 1)
       done);
-  let b = buf_create () in
-  let head_of key = if key < lo || key > hi then -1 else head.(key - lo) in
-  probe_chains ~head_of ~next ~right b;
-  buf_result b
+  for s = 1 to domain do
+    Array.unsafe_set run s (Array.unsafe_get run s + Array.unsafe_get run (s - 1))
+  done;
+  let rows = Array.make (Int_col.length left) 0 in
+  Int_col.iter_seg left ~f:(fun pos buf off len ->
+      for k = 0 to len - 1 do
+        let s = Array.unsafe_get buf (off + k) - lo in
+        let p = Array.unsafe_get run s - 1 in
+        Array.unsafe_set run s p;
+        Array.unsafe_set rows p (pos + k)
+      done);
+  let matches = ref 0 in
+  Int_col.iter_seg right ~f:(fun _ buf off len ->
+      for k = off to off + len - 1 do
+        let key = Array.unsafe_get buf k in
+        if key >= lo && key <= hi then
+          matches :=
+            !matches + Array.unsafe_get run (key - lo + 1)
+            - Array.unsafe_get run (key - lo)
+      done);
+  let l = Array.make !matches 0 and r = Array.make !matches 0 in
+  let out = ref 0 in
+  Int_col.iter_seg right ~f:(fun pos buf off len ->
+      for k = 0 to len - 1 do
+        let key = Array.unsafe_get buf (off + k) in
+        if key >= lo && key <= hi then
+          for p = Array.unsafe_get run (key - lo)
+              to Array.unsafe_get run (key - lo + 1) - 1 do
+            Array.unsafe_set l !out (Array.unsafe_get rows p);
+            Array.unsafe_set r !out (pos + k);
+            incr out
+          done
+      done);
+  { left = l; right = r }
 
 (* Merge join over key/id accessors: [lkey]/[rkey] enumerate the inputs
    in key order, [lid]/[rid] map merge ranks back to row ids; equal-key
@@ -239,23 +277,27 @@ let run_observed ?obs alg ~left ~right =
       ~rows_out:cardinality
       (fun () -> run alg ~left ~right)
 
-let materialize l r pairs =
-  let lt = Dqo_data.Relation.take l pairs.left in
-  let rt = Dqo_data.Relation.take r pairs.right in
-  let schema =
-    Dqo_data.Schema.concat
-      (Dqo_data.Relation.schema l)
-      (Dqo_data.Relation.schema r)
+let materialize ?only l r pairs =
+  let module Relation = Dqo_data.Relation in
+  let module Schema = Dqo_data.Schema in
+  let la = Schema.arity (Relation.schema l) in
+  let keep =
+    match only with
+    | None -> fun _ -> true
+    | Some names -> fun (f : Schema.field) -> List.mem f.Schema.name names
   in
-  let columns =
-    List.init
-      (Dqo_data.Schema.arity schema)
-      (fun i ->
-        let la = Dqo_data.Schema.arity (Dqo_data.Relation.schema l) in
-        if i < la then Dqo_data.Relation.column_at lt i
-        else Dqo_data.Relation.column_at rt (i - la))
+  let gathered =
+    List.concat
+      (List.mapi
+         (fun i f ->
+           if not (keep f) then []
+           else if i < la then
+             [ (f, Dqo_data.Column.take (Relation.column_at l i) pairs.left) ]
+           else
+             [ (f, Dqo_data.Column.take (Relation.column_at r (i - la)) pairs.right) ])
+         (Schema.fields (Schema.concat (Relation.schema l) (Relation.schema r))))
   in
-  Dqo_data.Relation.create schema columns
+  Relation.create (Schema.create (List.map fst gathered)) (List.map snd gathered)
 
 let nested_loop_reference ~left ~right =
   let b = buf_create () in

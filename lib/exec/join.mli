@@ -63,9 +63,13 @@ val run_observed :
     pairs, wall time).  Without [obs] it is exactly {!run}. *)
 
 val materialize :
+  ?only:string list ->
   Dqo_data.Relation.t -> Dqo_data.Relation.t -> result -> Dqo_data.Relation.t
 (** [materialize l r pairs] gathers both sides; the output schema is the
-    concatenation of the input schemas (right-side clashes renamed). *)
+    concatenation of the input schemas (right-side clashes renamed).
+    With [~only], just the output columns named in it are gathered, in
+    schema order — late materialisation for a parent that reads a few
+    of them. *)
 
 val nested_loop_reference : left:Dqo_data.Int_col.t -> right:Dqo_data.Int_col.t -> result
 (** O(n·m) reference implementation for the property-based tests. *)

@@ -10,8 +10,9 @@ module Dense = struct
     | None -> None
     | Some (lo, hi) ->
       let distinct = Dqo_util.Int_array.count_distinct keys in
-      let range = hi - lo + 1 in
-      if range <= 2 * distinct then Some { lo; hi } else None
+      match Dqo_data.Int_col.range lo hi with
+      | Some range when range <= 2 * distinct -> Some { lo; hi }
+      | Some _ | None -> None
 
   let slot t key =
     assert (key >= t.lo && key <= t.hi);

@@ -240,7 +240,9 @@ let narrow_column props col p =
       if c.Props.hi < c.Props.lo then c (* bounds unknown (shallow) *)
       else
         let lo, hi = narrowed_bounds ~lo:c.Props.lo ~hi:c.Props.hi p in
-        let span = max 0 (hi - lo + 1) in
+        let span =
+          Option.value ~default:max_int (Dqo_data.Int_col.range lo hi)
+        in
         { c with Props.lo; hi; distinct = min c.Props.distinct span }
   in
   {

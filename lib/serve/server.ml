@@ -334,18 +334,14 @@ let prepare s ?mode sql =
         st
       | None ->
         Metrics.incr srv.m "serve.cache_misses";
-        srv.next_stmt <- srv.next_stmt + 1;
         (* Plan on the shared pool: the lock order (session mutex, then
            the pool's submission lock) matches the executor threads,
-           which never take the session mutex while inside a region. *)
-        let st =
-          {
-            id = srv.next_stmt;
-            sql;
-            mode;
-            prepared = Engine.prepare_on srv.eng ~pool:srv.pool ~mode sql;
-          }
-        in
+           which never take the session mutex while inside a region.
+           The id is taken only once planning succeeded, so a failed
+           prepare consumes none. *)
+        let prepared = Engine.prepare_on srv.eng ~pool:srv.pool ~mode sql in
+        srv.next_stmt <- srv.next_stmt + 1;
+        let st = { id = srv.next_stmt; sql; mode; prepared } in
         Hashtbl.add srv.cache (sql, mode) st;
         st)
 

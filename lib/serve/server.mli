@@ -125,6 +125,7 @@ val prepare :
 (** Look up or create the server-wide cache entry for [(sql, mode)]
     ([mode] defaults to the engine's [opts.mode]).  A cache hit whose
     plan is stale is re-optimised here rather than at execution time.
+    Statement ids are consecutive: a failed prepare consumes none.
     @raise Dqo_sql.Parser.Error / Dqo_sql.Binder.Error on bad SQL. *)
 
 val stmt_id : stmt -> int

@@ -4,45 +4,61 @@
    executor threads and collect them later. *)
 
 module Relation = Dqo_data.Relation
-module Value = Dqo_data.Value
+module Column = Dqo_data.Column
+module Int_col = Dqo_data.Int_col
 module Metrics = Dqo_obs.Metrics
 
-(* djb2-xor over a canonical rendering of every cell: schema order
-   within a row, rows sorted structurally first.  Sorting makes the
-   digest a {e bag} fingerprint — physical-design changes (an advisor
-   materialising or evicting an AV mid-run) may legitimately reorder
-   result rows, and the digest's job is to certify the relation's
-   content, not its storage order.  Stable across runs (no
-   [Hashtbl.hash] — its output may differ between OCaml versions, and
-   the digest lands in CI transcripts). *)
+(* A multiply-xorshift avalanche: every step (xorshift, multiply by an
+   odd constant) is a bijection on OCaml's 63-bit ints. *)
+let avalanche x =
+  let x = (x lxor (x lsr 31)) * 0x2545F4914F6CDD1D in
+  let x = (x lxor (x lsr 29)) * 0x1B873593CC9E2D51 in
+  x lxor (x lsr 32)
+
+(* Fold one tagged cell into a row hash.  The fold is sequential, so a
+   row's hash depends on which value sits in which column; for a fixed
+   [h] it is a bijection of [v lxor tag]. *)
+let mix h tag v = avalanche ((h * 0x100000001B3) + (v lxor tag))
+
+let string_hash s =
+  let h = ref (String.length s) in
+  String.iter (fun c -> h := (!h * 0x100000001B3) lxor Char.code c) s;
+  !h
+
+(* Order-independent bag digest in O(rows x columns): every row is
+   hashed across its columns, straight from the column storage with a
+   type tag per cell, and the row hashes are summed.  A sum commutes,
+   so physical-design changes that reorder result rows (an advisor
+   materialising or evicting an AV mid-run) digest alike, and unlike a
+   XOR it counts duplicate rows.  Row count and arity are mixed in last.
+   Stable across runs and OCaml versions (no [Hashtbl.hash]): the
+   digest lands in CI transcripts. *)
 let digest rel =
-  let h = ref 5381 in
-  let mix_byte b = h := ((!h * 33) lxor b) land max_int in
-  let mix_string s = String.iter (fun c -> mix_byte (Char.code c)) s in
-  let mix_int i =
-    for shift = 0 to 7 do
-      mix_byte ((i lsr (8 * shift)) land 0xff)
-    done
-  in
-  mix_int (Relation.cardinality rel);
-  List.iter
-    (fun row ->
-      List.iter
-        (fun v ->
-          match v with
-          | Value.Null -> mix_byte 0
-          | Value.Int i ->
-            mix_byte 1;
-            mix_int i
-          | Value.Float f ->
-            mix_byte 2;
-            mix_int (Int64.to_int (Int64.bits_of_float f))
-          | Value.String s ->
-            mix_byte 3;
-            mix_string s)
-        row)
-    (List.sort compare (Relation.rows rel));
-  Printf.sprintf "%016x" (!h land max_int)
+  let n = Relation.cardinality rel in
+  let arity = Dqo_data.Schema.arity (Relation.schema rel) in
+  let acc = Array.make n 0x165667B19E3779F9 in
+  for j = 0 to arity - 1 do
+    match Relation.column_at rel j with
+    | Column.Ints c ->
+      Int_col.iter_seg c ~f:(fun pos buf off len ->
+          for k = 0 to len - 1 do
+            let i = pos + k in
+            Array.unsafe_set acc i
+              (mix (Array.unsafe_get acc i) 1 (Array.unsafe_get buf (off + k)))
+          done)
+    | Column.Floats a ->
+      Array.iteri
+        (fun i f ->
+          let bits = Int64.bits_of_float f in
+          let lo = Int64.to_int (Int64.logand bits 0xFFFF_FFFFL) in
+          let hi = Int64.to_int (Int64.shift_right_logical bits 32) in
+          acc.(i) <- mix (mix acc.(i) 2 lo) 2 hi)
+        a
+    | Column.Strings a ->
+      Array.iteri (fun i s -> acc.(i) <- mix acc.(i) 3 (string_hash s)) a
+  done;
+  let sum = Array.fold_left ( + ) 0 acc in
+  Printf.sprintf "%016x" (mix (mix sum 4 n) 5 arity land max_int)
 
 let result_header ?ticket rel =
   let cols =
@@ -56,7 +72,34 @@ let result_header ?ticket rel =
   Printf.sprintf "result%s rows=%d cols=%d sum=%s" t
     (Relation.cardinality rel) cols (digest rel)
 
-let row_line row = String.concat "\t" (List.map Value.to_string row)
+(* [string_of_int] into [buf] without the allocation and format
+   parsing, through the 20-byte scratch [digits]: digits are produced
+   from the non-positive value, so [min_int] needs no special case. *)
+let add_int buf digits i =
+  let pos = ref 20 and n = ref (if i > 0 then -i else i) in
+  if !n = 0 then (decr pos; Bytes.unsafe_set digits !pos '0');
+  while !n <> 0 do
+    decr pos;
+    Bytes.unsafe_set digits !pos (Char.unsafe_chr (48 - (!n mod 10)));
+    n := !n / 10
+  done;
+  if i < 0 then (decr pos; Bytes.unsafe_set digits !pos '-');
+  Buffer.add_subbytes buf digits !pos (20 - !pos)
+
+let add_rows buf rel =
+  let cols = Array.init (Dqo_data.Schema.arity (Relation.schema rel)) (Relation.column_at rel) in
+  let digits = Bytes.create 20 in
+  for i = 0 to Relation.cardinality rel - 1 do
+    Array.iteri
+      (fun j c ->
+        if j > 0 then Buffer.add_char buf '\t';
+        match c with
+        | Column.Ints c -> add_int buf digits (Int_col.get c i)
+        | Column.Floats a -> Printf.bprintf buf "%g" a.(i)
+        | Column.Strings a -> Printf.bprintf buf "%S" a.(i))
+      cols;
+    Buffer.add_char buf '\n'
+  done
 
 (* One line, no newlines smuggled in from exception payloads. *)
 let error_line e =
@@ -153,9 +196,12 @@ let handle st line out =
     match String.lowercase_ascii keyword with
     | "exec" ->
       let rel = Server.execute session stmt in
-      emit (result_header rel);
-      List.iter (fun row -> emit (row_line row)) (Relation.rows rel);
-      emit "end"
+      let buf = Buffer.create 4096 in
+      Buffer.add_string buf (result_header rel);
+      Buffer.add_char buf '\n';
+      add_rows buf rel;
+      Buffer.add_string buf "end\n";
+      Buffer.output_buffer out buf
     | _ -> (
       match Server.submit session stmt with
       | ticket ->

@@ -33,14 +33,23 @@
 
     Malformed input answers a single [error <reason>] line and keeps
     serving.  [sum] is a deterministic hex digest of the full relation
-    {e as a bag}: rows are canonically sorted before hashing, so two
+    {e as a bag}: row hashes are combined by a commutative sum, so two
     executions of the same statement digest identically even if a
     physical-design change between them (an advisor materialisation or
     eviction) legitimately reordered the output rows. *)
 
 val digest : Dqo_data.Relation.t -> string
-(** Deterministic content digest (row count, column count, and every
-    value; rows canonically sorted first), rendered as hex. *)
+(** Deterministic order-independent content digest, rendered as hex:
+    each row is hashed across its columns (every cell with a type tag,
+    so [Int 1] and [Float 1.0] differ), row hashes are summed (so
+    duplicate rows count), and row count and arity are mixed in.
+    O(rows x columns), reading the columns directly. *)
+
+val add_rows : Buffer.t -> Dqo_data.Relation.t -> unit
+(** Append the [exec] reply's row lines: one line per row, cells
+    tab-separated, each line ending in a newline.  Ints render as
+    [string_of_int], floats as [%g] and strings as [%S] — the same text
+    as {!Dqo_data.Value.to_string} of each cell. *)
 
 val serve : Server.t -> in_channel -> out_channel -> unit
 (** Run the command loop until [quit] or end of input.  The server is

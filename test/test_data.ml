@@ -119,6 +119,32 @@ let test_density_ratio () =
   let s = analyze [| 0; 1; 2; 3 |] in
   Alcotest.(check (float 1e-9)) "minimal dense" 1.0 (Col_stats.density_ratio s)
 
+(* Domain sizes near the ends of the int range must not wrap into a
+   small positive count. *)
+let test_int_col_range () =
+  let check name expected lo hi =
+    Alcotest.(check (option int)) name expected (Int_col.range lo hi)
+  in
+  check "small" (Some 10) 0 9;
+  check "single" (Some 1) 5 5;
+  check "empty" (Some 0) 5 4;
+  check "inverted extremes" (Some 0) max_int min_int;
+  check "largest fitting" (Some max_int) 1 max_int;
+  check "largest fitting, negative side" (Some max_int) (min_int + 1) (-1);
+  check "one past max_int" None 0 max_int;
+  check "full range" None min_int max_int;
+  check "near-full range" None (min_int + 1) max_int
+
+let test_col_stats_full_range () =
+  let keys = [| min_int + 1; max_int; 0; 1; 2; 3; 4; 5; 6 |] in
+  let s = analyze keys in
+  Alcotest.(check bool) "not dense" false s.Col_stats.dense;
+  Alcotest.(check int) "distinct" 9 s.Col_stats.distinct;
+  Alcotest.(check bool) "vanishing density ratio" true
+    (Col_stats.density_ratio s < 1e-12);
+  Alcotest.(check bool) "no dense perfect hash" true
+    (Option.is_none (Dqo_hash.Perfect.Dense.of_keys keys))
+
 (* --- datagen ------------------------------------------------------------ *)
 
 let test_grouping_dataset_invariants () =
@@ -328,6 +354,8 @@ let () =
         [
           Alcotest.test_case "detection" `Quick test_col_stats_detection;
           Alcotest.test_case "density ratio" `Quick test_density_ratio;
+          Alcotest.test_case "int range" `Quick test_int_col_range;
+          Alcotest.test_case "full-range keys" `Quick test_col_stats_full_range;
         ] );
       ( "datagen",
         [

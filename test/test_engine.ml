@@ -487,6 +487,181 @@ let test_empty_sph_input () =
         0 (Relation.cardinality rel))
     [ 1; 2 ]
 
+(* --- full-range keys --------------------------------------------------- *)
+
+(* Keys spanning nearly the whole int range: [hi - lo + 1] wraps to a
+   small positive number, which once made the catalog call the column
+   dense, the planner pick SPHG, and execution raise. *)
+let test_full_range_group_keys () =
+  let keys = [| min_int + 1; max_int; 0; 1; 2; 3; 4; 5; 6; 3; 3 |] in
+  let db = Engine.create () in
+  Engine.register db ~name:"T"
+    (Relation.create
+       (Schema.of_names [ ("k", Schema.T_int) ])
+       [ Dqo_data.Column.of_ints keys ]);
+  let expected =
+    List.sort compare
+      ([ [ min_int + 1; 1 ]; [ max_int; 1 ]; [ 3; 3 ] ]
+      @ List.map (fun k -> [ k; 1 ]) [ 0; 1; 2; 4; 5; 6 ])
+  in
+  List.iter
+    (fun threads ->
+      let rel =
+        Engine.run_sql db ~mode:Engine.DQO ~threads
+          "SELECT k, COUNT(*) AS c FROM T GROUP BY k"
+      in
+      Alcotest.(check (list (list int)))
+        (Printf.sprintf "groups at %d threads" threads)
+        expected
+        (List.sort compare
+           (List.map (List.map Value.int_exn) (Relation.rows rel))))
+    [ 1; 2 ]
+
+(* --- late materialisation ---------------------------------------------- *)
+
+(* A join under a grouping gathers only the columns the grouping reads.
+   Reference: the same joins fully materialised (nested-loop pairs,
+   every column gathered), then grouped row by row. *)
+let reference_grouped rels ~joins ~where ~key ~agg =
+  let full =
+    List.fold_left
+      (fun acc (rel, lc, rc) ->
+        let pairs =
+          Dqo_exec.Join.nested_loop_reference ~left:(Relation.int_col acc lc)
+            ~right:(Relation.int_col rel rc)
+        in
+        Dqo_exec.Join.materialize acc rel pairs)
+      (List.hd rels) joins
+  in
+  let get name i = Dqo_data.Int_col.get (Relation.int_col full name) i in
+  let groups = Hashtbl.create 64 in
+  for i = 0 to Relation.cardinality full - 1 do
+    if List.for_all (fun (c, bound) -> get c i <= bound) where then begin
+      let k = get key i in
+      let v = match agg with None -> 1 | Some c -> get c i in
+      Hashtbl.replace groups k
+        (v + Option.value ~default:0 (Hashtbl.find_opt groups k))
+    end
+  done;
+  List.sort compare (Hashtbl.fold (fun k v acc -> [ k; v ] :: acc) groups [])
+
+let late_mat_db backend =
+  let rng = Dqo_util.Rng.create ~seed:29 in
+  let col n f =
+    Dqo_data.Column.of_int_col
+      (Dqo_data.Int_col.init ~backend ~chunk_rows:64 n (fun _ -> f ()))
+  in
+  let perm n =
+    let a = Array.init n Fun.id in
+    Dqo_util.Rng.shuffle rng a;
+    Dqo_data.Column.of_int_col
+      (Dqo_data.Int_col.init ~backend ~chunk_rows:64 n (fun i -> a.(i)))
+  in
+  let table names cols =
+    Relation.create
+      (Schema.of_names (List.map (fun n -> (n, Schema.T_int)) names))
+      cols
+  in
+  let r_rows = 300 and s_rows = 1_100 and t_rows = 30 in
+  let r =
+    table [ "id"; "a"; "x" ]
+      [ perm r_rows;
+        col r_rows (fun () -> Dqo_util.Rng.int rng 50);
+        col r_rows (fun () -> Dqo_util.Rng.int rng 100) ]
+  in
+  let s =
+    table [ "r_id"; "b"; "y" ]
+      [ col s_rows (fun () -> Dqo_util.Rng.int rng r_rows);
+        col s_rows (fun () -> Dqo_util.Rng.int rng t_rows);
+        col s_rows (fun () -> Dqo_util.Rng.int rng 1_000) ]
+  in
+  let t =
+    table [ "t_id"; "c" ] [ perm t_rows; col t_rows (fun () -> Dqo_util.Rng.int rng 5) ]
+  in
+  let db = Engine.create () in
+  List.iter (fun (n, rel) -> Engine.register db ~name:n rel) [ ("R", r); ("S", s); ("T", t) ];
+  (db, r, s, t)
+
+let test_late_materialisation_bags () =
+  List.iter
+    (fun (bname, backend) ->
+      let db, r, s, t = late_mat_db backend in
+      let rs = [ (s, "id", "r_id") ] and rst = [ (s, "id", "r_id"); (t, "b", "t_id") ] in
+      let queries =
+        [ ( "SELECT a, COUNT(*) AS n FROM R JOIN S ON id = r_id GROUP BY a",
+            reference_grouped [ r ] ~joins:rs ~where:[] ~key:"a" ~agg:None );
+          ( "SELECT a, SUM(y) AS n FROM R JOIN S ON id = r_id GROUP BY a",
+            reference_grouped [ r ] ~joins:rs ~where:[] ~key:"a" ~agg:(Some "y") );
+          ( "SELECT a, COUNT(*) AS n FROM R JOIN S ON id = r_id WHERE x <= 40 \
+             GROUP BY a",
+            reference_grouped [ r ] ~joins:rs ~where:[ ("x", 40) ] ~key:"a"
+              ~agg:None );
+          ( "SELECT c, SUM(x) AS n FROM R JOIN S ON id = r_id JOIN T ON b = t_id \
+             GROUP BY c",
+            reference_grouped [ r ] ~joins:rst ~where:[] ~key:"c" ~agg:(Some "x") ) ]
+      in
+      List.iter
+        (fun (sql, expected) ->
+          List.iter
+            (fun mode ->
+              let plan = (Engine.plan_sql db mode sql).Pareto.plan in
+              for domains = 1 to 4 do
+                let rel =
+                  Dqo_par.Pool.with_pool ~domains (fun pool ->
+                      Engine.execute_on db ~pool plan)
+                in
+                Alcotest.(check (list (list int)))
+                  (Printf.sprintf "%s, %s, %d domains: %s" bname
+                     (match mode with Engine.SQO -> "sqo" | Engine.DQO -> "dqo")
+                     domains sql)
+                  expected
+                  (List.sort compare
+                     (List.map (List.map Value.int_exn) (Relation.rows rel)))
+              done)
+            [ Engine.SQO; Engine.DQO ])
+        queries)
+    [ ("flat", Dqo_data.Int_col.Flat);
+      ("chunked64", Dqo_data.Int_col.Chunked Dqo_data.Int_col.W64);
+      ("chunked32", Dqo_data.Int_col.Chunked Dqo_data.Int_col.W32) ]
+
+(* The root keeps its full schema, and a grouping over a right-side
+   column renamed by a name clash still finds it — also when the clash
+   comes from below another join, whose pruning would otherwise decide
+   whether the rename happens at all. *)
+let test_late_materialisation_schemas () =
+  let db, r, s, t = late_mat_db Dqo_data.Int_col.Flat in
+  let hj = Physical.default_join Dqo_exec.Join.HJ in
+  let scan n = Physical.Table_scan n in
+  Alcotest.(check (list string)) "root join keeps every column"
+    [ "id"; "a"; "x"; "r_id"; "b"; "y" ]
+    (List.map (fun (f : Schema.field) -> f.Schema.name)
+       (Schema.fields
+          (Relation.schema
+             (Engine.execute db (Physical.Join_op (scan "R", scan "S", "id", "r_id", hj))))));
+  let s_clash =
+    Relation.create
+      (Schema.of_names [ ("r_id", Schema.T_int); ("a", Schema.T_int) ])
+      [ Relation.column s "r_id"; Relation.column s "b" ]
+  in
+  let clash = Engine.create () in
+  List.iter (fun (n, rel) -> Engine.register clash ~name:n rel)
+    [ ("R", r); ("S", s_clash); ("T", t) ];
+  let plan =
+    Physical.Group_op
+      ( Physical.Join_op
+          ( Physical.Join_op (scan "R", scan "T", "x", "t_id", hj),
+            scan "S", "id", "r_id", hj ),
+        "a'",
+        [ Dqo_plan.Logical.count_star ~alias:"n" () ],
+        Physical.default_grouping Dqo_exec.Grouping.HG )
+  in
+  Alcotest.(check (list (list int))) "grouped by the renamed right column"
+    (reference_grouped [ r ]
+       ~joins:[ (t, "x", "t_id"); (s_clash, "id", "r_id") ]
+       ~where:[] ~key:"a'" ~agg:None)
+    (List.sort compare
+       (List.map (List.map Value.int_exn) (Relation.rows (Engine.execute clash plan))))
+
 (* --- hierarchical routing ------------------------------------------- *)
 
 let hier_sql = "SELECT a, COUNT(*) AS cnt FROM R JOIN S ON id = r_id GROUP BY a"
@@ -592,6 +767,14 @@ let () =
           QCheck_alcotest.to_alcotest prop_engine_fuzz_single_table;
           QCheck_alcotest.to_alcotest prop_engine_fuzz_join;
         ] );
+      ( "full-range",
+        [ Alcotest.test_case "group keys near min_int/max_int" `Quick
+            test_full_range_group_keys ] );
+      ( "late-gather",
+        [ Alcotest.test_case "same bags, backends x pools x modes" `Quick
+            test_late_materialisation_bags;
+          Alcotest.test_case "root schema and renamed columns" `Quick
+            test_late_materialisation_schemas ] );
       ( "empty-sph",
         [ Alcotest.test_case "empty input, empty result" `Quick
             test_empty_sph_input ] );

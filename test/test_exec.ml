@@ -246,7 +246,13 @@ let test_join_materialize () =
   let r_ids = Int_col.to_array (Dqo_data.Relation.int_col out "r_id") in
   Array.iteri
     (fun i id -> Alcotest.(check int) "join predicate" id r_ids.(i))
-    ids
+    ids;
+  (* [~only] gathers just the named columns, in schema order, with the
+     same rows as the full output. *)
+  let only = Join.materialize ~only:[ "b"; "a" ] l r pairs in
+  Alcotest.(check bool) "only = projection of the full output" true
+    (Dqo_data.Relation.rows only
+    = Dqo_data.Relation.rows (Dqo_data.Relation.project out [ "a"; "b" ]))
 
 (* --- sort / filter ----------------------------------------------------------- *)
 

@@ -190,6 +190,117 @@ let test_engine_opts () =
       Engine.set_opts db
         { Engine.default_opts with Engine.qerror_threshold = 0.5 })
 
+(* A failed prepare consumes no statement id: the next good one gets the
+   id right after the last good one. *)
+let test_failed_prepare_keeps_ids () =
+  with_server (fun _db srv ->
+      let s = Server.open_session srv in
+      let first = Server.prepare s demo_sql in
+      Alcotest.(check int) "first id" 1 (Server.stmt_id first);
+      List.iter
+        (fun bad ->
+          match Server.prepare s bad with
+          | exception (Dqo_sql.Parser.Error _ | Dqo_sql.Binder.Error _) -> ()
+          | _ -> Alcotest.fail ("prepare should fail: " ^ bad))
+        [ "SELECT a FROM Unknown"; "SELECT a, FROM R" ];
+      let next = Server.prepare s "SELECT a, COUNT(*) AS c FROM R GROUP BY a" in
+      Alcotest.(check int) "next good prepare gets the next id" 2
+        (Server.stmt_id next))
+
+(* --- result digest and row text ------------------------------------------ *)
+
+module Relation = Dqo_data.Relation
+module Schema = Dqo_data.Schema
+module Column = Dqo_data.Column
+module Value = Dqo_data.Value
+
+let int_rel rows =
+  Relation.of_int_rows (Schema.of_names [ ("x", Schema.T_int); ("y", Schema.T_int) ]) rows
+
+let prop_digest_permutation =
+  QCheck.Test.make ~name:"digest invariant under row permutation" ~count:200
+    QCheck.(pair (list (pair small_signed_int int)) int)
+    (fun (rows, seed) ->
+      let rows = List.map (fun (x, y) -> [ x; y ]) rows in
+      let a = Array.of_list rows in
+      let perm = Array.init (Array.length a) Fun.id in
+      Dqo_util.Rng.shuffle (Dqo_util.Rng.create ~seed) perm;
+      let permuted = Array.to_list (Array.map (fun i -> a.(i)) perm) in
+      String.equal (Wire.digest (int_rel rows)) (Wire.digest (int_rel permuted)))
+
+let test_digest_distinguishes () =
+  let d rows = Wire.digest (int_rel rows) in
+  let differ name a b =
+    Alcotest.(check bool) name false (String.equal (d a) (d b))
+  in
+  differ "cells swapped across rows" [ [ 1; 2 ]; [ 3; 4 ] ] [ [ 1; 4 ]; [ 3; 2 ] ];
+  differ "cells swapped within a row" [ [ 1; 2 ] ] [ [ 2; 1 ] ];
+  differ "duplicate vs single row" [ [ 1; 2 ]; [ 1; 2 ] ] [ [ 1; 2 ] ];
+  differ "duplicated rows count (no XOR cancellation)"
+    [ [ 1; 2 ]; [ 1; 2 ] ] [ [ 3; 4 ]; [ 3; 4 ] ];
+  differ "multiplicities" [ [ 1; 2 ]; [ 1; 2 ]; [ 3; 4 ] ] [ [ 1; 2 ]; [ 3; 4 ]; [ 3; 4 ] ];
+  differ "empty vs one zero row" [] [ [ 0; 0 ] ];
+  let one ty col = Relation.create (Schema.of_names [ ("v", ty) ]) [ col ] in
+  Alcotest.(check bool) "Int vs Float of the same value" false
+    (String.equal
+       (Wire.digest (one Schema.T_int (Column.of_ints [| 1; 2 |])))
+       (Wire.digest (one Schema.T_float (Column.Floats [| 1.0; 2.0 |]))));
+  Alcotest.(check bool) "String cells hash" false
+    (String.equal
+       (Wire.digest (one Schema.T_string (Column.Strings [| "ab"; "c" |])))
+       (Wire.digest (one Schema.T_string (Column.Strings [| "a"; "bc" |]))));
+  Alcotest.(check bool) "backend does not matter" true
+    (String.equal
+       (d [ [ 5; 6 ]; [ 7; 8 ] ])
+       (Wire.digest
+          (Relation.create
+             (Schema.of_names [ ("x", Schema.T_int); ("y", Schema.T_int) ])
+             (List.map
+                (fun a ->
+                  Column.of_int_col
+                    (Dqo_data.Int_col.init
+                       ~backend:(Dqo_data.Int_col.Chunked Dqo_data.Int_col.W32)
+                       ~chunk_rows:1 2 (fun i -> a.(i))))
+                [ [| 5; 7 |]; [| 6; 8 |] ]))))
+
+(* The row text is exactly what rendering every cell with
+   [Value.to_string] gives. *)
+let test_wire_row_text () =
+  let ints = [| 0; -1; 7; -42; min_int; max_int; min_int + 1; 1_000_000 |] in
+  let n = Array.length ints in
+  let floats = [| 0.0; -0.0; 1.5; -2.25; 1e300; 1e-7; nan; infinity |] in
+  let strings = [| ""; "plain"; "tab\there"; "quote\"s"; "new\nline"; "\\"; "é"; "x" |] in
+  let rel =
+    Relation.create
+      (Schema.of_names
+         [ ("i", Schema.T_int); ("f", Schema.T_float); ("s", Schema.T_string);
+           ("j", Schema.T_int) ])
+      [ Column.of_ints ints; Column.Floats floats; Column.Strings strings;
+        Column.of_ints (Array.init n (fun i -> (i * 7919) - 30_000)) ]
+  in
+  let expected =
+    String.concat ""
+      (List.map
+         (fun row -> String.concat "\t" (List.map Value.to_string row) ^ "\n")
+         (Relation.rows rel))
+  in
+  let buf = Buffer.create 16 in
+  Wire.add_rows buf rel;
+  Alcotest.(check string) "byte-identical rows" expected (Buffer.contents buf)
+
+let prop_wire_int_text =
+  QCheck.Test.make ~name:"int cells render as string_of_int" ~count:500
+    QCheck.(list int)
+    (fun xs ->
+      let rel =
+        Relation.create (Schema.of_names [ ("v", Schema.T_int) ])
+          [ Column.of_ints (Array.of_list xs) ]
+      in
+      let buf = Buffer.create 16 in
+      Wire.add_rows buf rel;
+      String.equal (Buffer.contents buf)
+        (String.concat "" (List.map (fun x -> string_of_int x ^ "\n") xs)))
+
 (* --- wire protocol ------------------------------------------------------ *)
 
 let run_wire ?(threads = 2) script =
@@ -291,6 +402,15 @@ let () =
             test_statement_cache_shared;
           Alcotest.test_case "closed session rejected" `Quick
             test_closed_session_rejected;
+          Alcotest.test_case "failed prepare keeps ids" `Quick
+            test_failed_prepare_keeps_ids;
+        ] );
+      ( "digest",
+        [
+          QCheck_alcotest.to_alcotest prop_digest_permutation;
+          Alcotest.test_case "distinguishes" `Quick test_digest_distinguishes;
+          Alcotest.test_case "row text" `Quick test_wire_row_text;
+          QCheck_alcotest.to_alcotest prop_wire_int_text;
         ] );
       ( "admission",
         [

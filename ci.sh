@@ -200,4 +200,17 @@ tail -n 1 "$pb_out" | grep -q '"correct": true' \
 tail -n 1 "$pb_out" | grep -q '"failed": 0,' \
   || { echo "ci: perfbench sec43-serve had failed requests" >&2; exit 1; }
 
+echo "== perfbench plan-wide smoke =="
+# Fresh statements planned by the join DP (and Hier past 16 relations),
+# each result checked against the reference evaluator.  Gates only on
+# correctness and failures, never on times.
+pw_out="$(mktemp -t perfbench_wide_XXXXXX.txt)"
+trap 'rm -f "$out" "$hr_out" "$ps_out" "$ps_log" "$serve_out" "$fb_out" "$adv_out" "$pb_out" "$pw_out"' EXIT
+python3 perfbench/run.py --workload plan-wide --seconds 3 > "$pw_out" \
+  || { echo "ci: perfbench plan-wide run failed" >&2; exit 1; }
+tail -n 1 "$pw_out" | grep -q '"correct": true' \
+  || { echo "ci: perfbench plan-wide results not correct" >&2; exit 1; }
+tail -n 1 "$pw_out" | grep -q '"failed": 0,' \
+  || { echo "ci: perfbench plan-wide had failed requests" >&2; exit 1; }
+
 echo "ci: OK"

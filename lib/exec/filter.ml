@@ -34,15 +34,24 @@ let select_relation r ~column p =
   let ids = select (Dqo_data.Relation.int_col r column) p in
   Dqo_data.Relation.take r ids
 
+(* The number of integers in [[a, b]] as a float: exact while it fits in
+   an [int], computed in floats when it does not (a full-range domain). *)
+let span a b =
+  match Dqo_data.Int_col.range a b with
+  | Some n -> Float.of_int n
+  | None -> Float.of_int b -. Float.of_int a +. 1.0
+
 let selectivity p ~lo ~hi =
-  let width = Float.of_int (hi - lo + 1) in
+  let width = span lo hi in
   if width <= 0.0 then 0.0
   else begin
     let clamp f = Float.max 0.0 (Float.min 1.0 f) in
+    (* Domain values v <= y. *)
+    let count_le y = if y < lo then 0.0 else span lo (min y hi) in
     let fraction_below x strict =
       (* Fraction of domain values v with v < x (or <= x). *)
       let count =
-        if strict then Float.of_int (x - lo) else Float.of_int (x - lo + 1)
+        if not strict then count_le x else if x <= lo then 0.0 else count_le (x - 1)
       in
       clamp (count /. width)
     in
@@ -54,8 +63,7 @@ let selectivity p ~lo ~hi =
     | Gt x -> clamp (1.0 -. fraction_below x false)
     | Ge x -> clamp (1.0 -. fraction_below x true)
     | Between (a, b) ->
-      if b < a then 0.0
-      else clamp (Float.of_int (min b hi - max a lo + 1) /. width)
+      if b < a then 0.0 else clamp (span (max a lo) (min b hi) /. width)
   end
 
 let pp ppf = function

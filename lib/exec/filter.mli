@@ -25,6 +25,8 @@ val select_relation :
 
 val selectivity : predicate -> lo:int -> hi:int -> float
 (** Estimated fraction of a uniform [\[lo, hi\]] domain satisfying the
-    predicate — used by the cardinality estimator. *)
+    predicate — used by the cardinality estimator.  A domain with more
+    values than an [int] can count (e.g. [\[min_int + 1, max_int\]]) is
+    measured in floats. *)
 
 val pp : Format.formatter -> predicate -> unit

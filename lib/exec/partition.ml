@@ -36,12 +36,17 @@ let by_hash ?(hash = Hash_fn.Murmur3) ~partitions ~keys ~values () =
 
 let by_dense_key ~lo ~hi ~keys ~values =
   if hi < lo then invalid_arg "Partition.by_dense_key: hi < lo";
+  let buckets =
+    match Int_col.range lo hi with
+    | Some n -> n
+    | None -> invalid_arg "Partition.by_dense_key: domain too large"
+  in
   scatter
     ~bucket_of:(fun k ->
       if k < lo || k > hi then
         invalid_arg "Partition.by_dense_key: key outside domain";
       k - lo)
-    ~buckets:(hi - lo + 1) ~keys ~values
+    ~buckets ~keys ~values
 
 let partition_count p = Array.length p.keys
 

@@ -27,7 +27,8 @@ val by_dense_key : lo:int -> hi:int -> keys:Dqo_data.Int_col.t -> values:Dqo_dat
 (** [by_dense_key ~lo ~hi] gives every domain value its own partition —
     the "42 groups, 42 producers" of Figure 2.  Partition [p] holds the
     rows with key [lo + p]; empty domain values yield empty partitions.
-    @raise Invalid_argument if a key is outside [\[lo, hi\]]. *)
+    @raise Invalid_argument if a key is outside [\[lo, hi\]], or if the
+    domain has more values than an [int] can count. *)
 
 val partition_count : parts -> int
 val total_rows : parts -> int

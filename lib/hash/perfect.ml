@@ -1,9 +1,11 @@
 module Dense = struct
-  type t = { lo : int; hi : int }
+  type t = { lo : int; hi : int; size : int }
 
   let create ~lo ~hi =
     if hi < lo then invalid_arg "Perfect.Dense.create";
-    { lo; hi }
+    match Dqo_data.Int_col.range lo hi with
+    | Some size -> { lo; hi; size }
+    | None -> invalid_arg "Perfect.Dense.create: domain too large"
 
   let of_keys keys =
     match Dqo_util.Int_array.min_max keys with
@@ -11,7 +13,7 @@ module Dense = struct
     | Some (lo, hi) ->
       let distinct = Dqo_util.Int_array.count_distinct keys in
       match Dqo_data.Int_col.range lo hi with
-      | Some range when range <= 2 * distinct -> Some { lo; hi }
+      | Some size when size <= 2 * distinct -> Some { lo; hi; size }
       | Some _ | None -> None
 
   let slot t key =
@@ -21,7 +23,7 @@ module Dense = struct
   let slot_opt t key =
     if key >= t.lo && key <= t.hi then Some (key - t.lo) else None
 
-  let domain_size t = t.hi - t.lo + 1
+  let domain_size t = t.size
   let lo t = t.lo
   let hi t = t.hi
 end

@@ -20,7 +20,8 @@ module Dense : sig
   (** [create ~lo ~hi] covers the dense domain [\[lo, hi\]]; the slot of
       key [k] is [k - lo], so the hash is minimal iff every domain value
       occurs.
-      @raise Invalid_argument if [hi < lo]. *)
+      @raise Invalid_argument if [hi < lo], or if the domain has more
+      values than an [int] can count (e.g. [\[min_int, max_int\]]). *)
 
   val of_keys : int array -> t option
   (** [of_keys keys] builds a dense SPH if the distinct keys of [keys]

@@ -11,7 +11,9 @@ let dominates a b = a.cost <= b.cost && Props.dominates a.props b.props
 
 let add set e =
   if List.exists (fun m -> dominates m e) set then set
-  else e :: List.filter (fun m -> not (dominates e m)) set
+  else if List.exists (fun m -> dominates e m) set then
+    e :: List.filter (fun m -> not (dominates e m)) set
+  else e :: set
 
 let add_all set es = List.fold_left add set es
 

@@ -111,16 +111,22 @@ let distinct_or props col default =
   match Props.distinct_of props col with Some d -> d | None -> default
 
 (* After an operator produced [rows] tuples, no column can have more
-   distinct values than that. *)
+   distinct values than that.  Columns already within the cap keep their
+   cells, and an unchanged suffix of the list is kept as it is, so the
+   result shares what it can with its input. *)
 let scale_columns (props : Props.t) rows =
-  {
-    props with
-    Props.columns =
-      List.map
-        (fun (n, (c : Props.column)) ->
-          (n, { c with Props.distinct = min c.Props.distinct (max rows 0) }))
-        props.Props.columns;
-  }
+  let cap = max rows 0 in
+  let rec scale l =
+    match l with
+    | [] -> l
+    | ((n, (c : Props.column)) as x) :: rest ->
+      let rest' = scale rest in
+      if c.Props.distinct > cap then (n, { c with Props.distinct = cap }) :: rest'
+      else if rest' == rest then l
+      else x :: rest'
+  in
+  let columns = scale props.Props.columns in
+  if columns == props.Props.columns then props else { props with Props.columns }
 
 let base_entry ctx name =
   let ti = Catalog.find ctx.catalog name in
@@ -311,7 +317,9 @@ let join_candidates ctx (e1 : Pareto.entry) (e2 : Pareto.entry) c1 c2 =
   in
   let union = Props.union_columns e1.Pareto.props e2.Pareto.props in
   let unordered = scale_columns union out_rows in
-  let ordered = scale_columns (Props.with_sort union c1) out_rows in
+  (* [with_sort] touches only the order fields, so sorting the scaled
+     vector equals scaling the sorted one. *)
+  let ordered = Props.with_sort unordered c1 in
   let mk impl cost props =
     {
       Pareto.plan =

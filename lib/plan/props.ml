@@ -10,7 +10,32 @@ type t = {
 let none =
   { sorted_by = None; clustered_by = None; columns = []; co_ordered = [] }
 
+(* The suffix of [l] starting at the first pair keyed [name], or [[]].
+   Names are compared with [String.equal], which returns at once when
+   both sides are the same physical string — the common case, since a
+   name is allocated once by the catalog and shared by every property
+   vector derived from it. *)
+let rec find_tail name l =
+  match l with
+  | [] -> l
+  | (n, _) :: rest -> if String.equal n name then l else find_tail name rest
+
+let assoc name l = match find_tail name l with (_, v) :: _ -> Some v | [] -> None
+let mem_name name l = match find_tail name l with [] -> false | _ :: _ -> true
+
+let mem_string n l = List.exists (String.equal n) l
+
+let pair_mem (x, y) l =
+  List.exists (fun (x', y') -> String.equal x x' && String.equal y y') l
+
 let of_stats ?name ?(co_ordered = []) cols =
+  let rec check_unique = function
+    | [] -> ()
+    | (n, _) :: rest ->
+      if mem_name n rest then invalid_arg ("Props.of_stats: duplicate column " ^ n);
+      check_unique rest
+  in
+  check_unique cols;
   let columns =
     List.map
       (fun (n, (s : Dqo_data.Col_stats.t)) ->
@@ -24,7 +49,7 @@ let of_stats ?name ?(co_ordered = []) cols =
   in
   let sorted_by =
     match name with
-    | Some n when List.mem n sorted_names -> Some n
+    | Some n when mem_string n sorted_names -> Some n
     | Some _ | None ->
       (match sorted_names with [] -> None | n :: _ -> Some n)
   in
@@ -39,7 +64,7 @@ let of_stats ?name ?(co_ordered = []) cols =
   in
   { sorted_by; clustered_by; columns; co_ordered }
 
-let column t name = List.assoc_opt name t.columns
+let column t name = assoc name t.columns
 
 let sorted_on t name =
   match t.sorted_by with Some n -> String.equal n name | None -> false
@@ -49,7 +74,7 @@ let clustered_on t name =
   || (match t.clustered_by with Some n -> String.equal n name | None -> false)
   ||
   match t.sorted_by with
-  | Some s -> List.mem (s, name) t.co_ordered
+  | Some s -> pair_mem (s, name) t.co_ordered
   | None -> false
 
 let dense_on t name =
@@ -65,35 +90,52 @@ let without_order t = { t with sorted_by = None; clustered_by = None }
 
 let rename_columns t renaming =
   let rename n =
-    match List.assoc_opt n renaming with Some n' -> n' | None -> n
+    match assoc n renaming with Some n' -> n' | None -> n
   in
   {
     sorted_by = Option.map rename t.sorted_by;
     clustered_by = Option.map rename t.clustered_by;
-    columns = List.map (fun (n, c) -> (rename n, c)) t.columns;
+    columns =
+      (* A name renamed onto one already present keeps only its first
+         occurrence, so names stay unique. *)
+      List.fold_left
+        (fun acc (n, c) ->
+          let n = rename n in
+          if mem_name n acc then acc else (n, c) :: acc)
+        [] t.columns
+      |> List.rev;
     co_ordered = List.map (fun (a, b) -> (rename a, rename b)) t.co_ordered;
   }
 
 let restrict t names =
   let keep field =
     match field with
-    | Some n when List.mem n names -> Some n
+    | Some n when mem_string n names -> Some n
     | Some _ | None -> None
   in
   {
     sorted_by = keep t.sorted_by;
     clustered_by = keep t.clustered_by;
-    columns = List.filter (fun (n, _) -> List.mem n names) t.columns;
+    columns = List.filter (fun (n, _) -> mem_string n names) t.columns;
     co_ordered =
       List.filter
-        (fun (a, b) -> List.mem a names && List.mem b names)
+        (fun (a, b) -> mem_string a names && mem_string b names)
         t.co_ordered;
   }
 
+(* [List.filter], except that the longest suffix whose cells all pass is
+   returned as it is, not copied: vectors then share the column cells
+   and list suffixes {!dominates} can skip. *)
+let rec filter_shared keep l =
+  match l with
+  | [] -> l
+  | x :: rest ->
+    let rest' = filter_shared keep rest in
+    if not (keep x) then rest' else if rest' == rest then l else x :: rest'
+
 let union_columns a b =
   let merged =
-    a.columns
-    @ List.filter (fun (n, _) -> not (List.mem_assoc n a.columns)) b.columns
+    a.columns @ filter_shared (fun (n, _) -> not (mem_name n a.columns)) b.columns
   in
   {
     sorted_by = None;
@@ -101,7 +143,7 @@ let union_columns a b =
     columns = merged;
     co_ordered =
       a.co_ordered
-      @ List.filter (fun p -> not (List.mem p a.co_ordered)) b.co_ordered;
+      @ List.filter (fun p -> not (pair_mem p a.co_ordered)) b.co_ordered;
   }
 
 let shallow t =
@@ -121,18 +163,40 @@ let opt_sub a b =
   | Some _, None -> false
 
 let column_dominates (a : column) (b : column) =
-  (b.dense <= a.dense) && (not b.dense || (a.lo = b.lo && a.hi = b.hi))
+  (not b.dense) || (a.dense && a.lo = b.lo && a.hi = b.hi)
+
+(* Every column of [bc] is matched by a column of [a_columns]: walk [bc]
+   with a cursor [ac] into [a_columns], so vectors that list their
+   columns in the same order (as vectors derived from the same inputs
+   do) compare position by position.  Where the names part, the name is
+   looked up and the cursor moves past the match, so a vector made of
+   the same blocks in another order pays one lookup per block.  Names
+   are unique within a vector, so the column at the cursor, when its
+   name matches, is the one a lookup would find.  A column of [bc] that
+   is not dense needs no match, and physically shared suffixes, cells
+   and records need no comparison at all. *)
+let rec columns_dominate a_columns ac bc =
+  match bc with
+  | [] -> true
+  | _ when ac == bc -> true
+  | ((bn, bcol) as bx) :: br -> (
+    match ac with
+    | ((an, acol) as ax) :: ar when ax == bx || String.equal an bn ->
+      (acol == bcol || column_dominates acol bcol)
+      && columns_dominate a_columns ar br
+    | _ :: ar when not bcol.dense -> columns_dominate a_columns ar br
+    | _ -> (
+      match find_tail bn a_columns with
+      | (_, acol) :: ar ->
+        column_dominates acol bcol && columns_dominate a_columns ar br
+      | [] -> (not bcol.dense) && columns_dominate a_columns ac br))
 
 let dominates a b =
-  opt_sub a.sorted_by b.sorted_by
+  a == b
+  || opt_sub a.sorted_by b.sorted_by
   && opt_sub a.clustered_by b.clustered_by
-  && List.for_all (fun p -> List.mem p a.co_ordered) b.co_ordered
-  && List.for_all
-       (fun (n, bc) ->
-         match List.assoc_opt n a.columns with
-         | Some ac -> column_dominates ac bc
-         | None -> not bc.dense)
-       b.columns
+  && List.for_all (fun p -> pair_mem p a.co_ordered) b.co_ordered
+  && columns_dominate a.columns a.columns b.columns
 
 let equal a b = dominates a b && dominates b a
 

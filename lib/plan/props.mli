@@ -21,7 +21,10 @@ type t = {
       (** Equal values contiguous; implied by [sorted_by] on the same
           column. *)
   columns : (string * column) list;
-      (** Per-column domain knowledge, keyed by column name. *)
+      (** Per-column domain knowledge, keyed by column name.  Names are
+          unique within one [t]: {!of_stats} rejects duplicates, and
+          {!union_columns}, {!restrict} and {!rename_columns} keep them
+          unique.  {!dominates} relies on it. *)
   co_ordered : (string * string) list;
       (** [(c1, c2)] — ordering the data by [c1] also clusters it by
           [c2] ([c2] is a monotone function of [c1], as with a key and a
@@ -40,7 +43,8 @@ val of_stats :
   t
 (** [of_stats cols] builds base-relation properties from measured column
     statistics; [name] selects which sorted column (if several) defines
-    tuple order — default: the first sorted column. *)
+    tuple order — default: the first sorted column.
+    @raise Invalid_argument if a column name appears twice. *)
 
 val column : t -> string -> column option
 val sorted_on : t -> string -> bool
@@ -55,7 +59,9 @@ val without_order : t -> t
 (** Properties after an order-destroying operator (e.g. hash join). *)
 
 val rename_columns : t -> (string * string) list -> t
-(** Apply output renaming [(old, new)] to column knowledge and order. *)
+(** Apply output renaming [(old, new)] to column knowledge and order.
+    A column renamed onto a name already present keeps only the first
+    column of that name. *)
 
 val restrict : t -> string list -> t
 (** Keep knowledge only for the given output columns. *)
@@ -72,7 +78,9 @@ val shallow : t -> t
 val dominates : t -> t -> bool
 (** [dominates a b] — every guarantee [b] offers, [a] offers too.  Used
     by Pareto pruning: a plan with properties [a] and cost [<=] can
-    replace one with [b]. *)
+    replace one with [b].  Linear in the column lists when both list
+    their shared columns in the same order (as vectors derived from the
+    same inputs do); a name lookup per column otherwise. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

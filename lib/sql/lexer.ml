@@ -14,14 +14,23 @@ let tokenize s =
   while !i < n do
     let c = s.[!i] in
     if c = ' ' || c = '\t' || c = '\n' || c = '\r' then incr i
-    else if is_digit c then begin
+    else if is_digit c || (c = '-' && !i + 1 < n && is_digit s.[!i + 1]) then begin
+      (* A '-' directly followed by a digit belongs to the literal, so
+         [min_int] is a literal too. *)
       let start = !i in
+      incr i;
       while !i < n && (is_digit s.[!i] || s.[!i] = '_') do
         incr i
       done;
       let raw = String.sub s start (!i - start) in
       let digits = String.concat "" (String.split_on_char '_' raw) in
-      emit (Token.Int_lit (int_of_string digits))
+      match int_of_string_opt digits with
+      | Some v -> emit (Token.Int_lit v)
+      | None ->
+        raise
+          (Error
+             (Printf.sprintf "integer literal %s out of range at position %d"
+                raw start))
     end
     else if is_ident_start c then begin
       let start = !i in

@@ -32,7 +32,19 @@ let int t bound =
 
 let int_in_range t ~lo ~hi =
   if hi < lo then invalid_arg "Rng.int_in_range: hi < lo";
-  lo + int t (hi - lo + 1)
+  (* [hi - lo + 1] wraps to a non-positive value exactly when the range
+     holds more values than [max_int].  It then covers at least half of
+     all ints, so drawing full-width ints until one lands inside takes
+     at most two draws on average. *)
+  let width = hi - lo + 1 in
+  if width > 0 then lo + int t width
+  else
+    let rec draw () =
+      let low = next t in
+      let v = low lor ((next t land 1) lsl (Sys.int_size - 1)) in
+      if v >= lo && v <= hi then v else draw ()
+    in
+    draw ()
 
 let float t bound = Float.of_int (next t) /. Float.of_int max_int *. bound
 

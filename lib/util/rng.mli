@@ -23,7 +23,8 @@ val int : t -> int -> int
 
 val int_in_range : t -> lo:int -> hi:int -> int
 (** [int_in_range t ~lo ~hi] returns a uniform integer in [\[lo, hi\]]
-    (both inclusive).
+    (both inclusive), also when the range holds more values than
+    [max_int] (e.g. [\[min_int, max_int\]]).
     @raise Invalid_argument if [hi < lo]. *)
 
 val float : t -> float -> float

@@ -295,6 +295,22 @@ let test_selectivity_bounds () =
   Alcotest.(check (float 1e-9)) "between" 0.11
     (Filter.selectivity (Filter.Between (10, 20)) ~lo:0 ~hi:99)
 
+(* A domain with more values than an int can count: [hi - lo + 1]
+   wraps, and every predicate used to get selectivity 0. *)
+let test_selectivity_full_range () =
+  let lo = min_int + 1 and hi = max_int in
+  let sel p = Filter.selectivity p ~lo ~hi in
+  Alcotest.(check (float 1e-9)) "le 0 keeps half" 0.5 (sel (Filter.Le 0));
+  Alcotest.(check (float 1e-9)) "lt 0 keeps half" 0.5 (sel (Filter.Lt 0));
+  Alcotest.(check (float 1e-9)) "ge 0 keeps half" 0.5 (sel (Filter.Ge 0));
+  Alcotest.(check (float 1e-9)) "gt max keeps nothing" 0.0 (sel (Filter.Gt max_int));
+  Alcotest.(check (float 1e-9)) "le max keeps all" 1.0 (sel (Filter.Le max_int));
+  Alcotest.(check (float 1e-9)) "lt min keeps nothing" 0.0 (sel (Filter.Lt min_int));
+  Alcotest.(check (float 1e-9)) "whole range" 1.0 (sel (Filter.Between (min_int, max_int)));
+  Alcotest.(check (float 1e-9)) "ne keeps all but one" 1.0 (sel (Filter.Ne 3));
+  Alcotest.(check bool) "eq is tiny but positive" true
+    (let s = sel (Filter.Eq 3) in s > 0.0 && s < 1e-15)
+
 (* --- partition / pipeline ------------------------------------------------------ *)
 
 let prop_hash_partition_covers =
@@ -339,6 +355,18 @@ let test_dense_key_partition_is_figure2 () =
     (parts.Partition.keys.(2) = [| 2; 2; 2 |]);
   Alcotest.(check bool) "partition 1 holds the single 1" true
     (parts.Partition.keys.(1) = [| 1 |])
+
+let test_dense_key_partition_full_range () =
+  Alcotest.check_raises "domain too large"
+    (Invalid_argument "Partition.by_dense_key: domain too large") (fun () ->
+      ignore
+        (Partition.by_dense_key ~lo:min_int ~hi:max_int ~keys:(ic [| 0 |])
+           ~values:(ic [| 1 |])));
+  Alcotest.check_raises "half-open full range"
+    (Invalid_argument "Partition.by_dense_key: domain too large") (fun () ->
+      ignore
+        (Partition.by_dense_key ~lo:0 ~hi:max_int ~keys:(ic [| 0 |])
+           ~values:(ic [| 1 |])))
 
 let test_pipeline_collect_roundtrip () =
   let keys = Array.init 10_000 (fun i -> i mod 97) in
@@ -526,12 +554,16 @@ let () =
           Alcotest.test_case "stable sort" `Quick test_sort_op_stable;
           qtest prop_filter_matches_spec;
           Alcotest.test_case "selectivity" `Quick test_selectivity_bounds;
+          Alcotest.test_case "full-range selectivity" `Quick
+            test_selectivity_full_range;
         ] );
       ( "pipeline",
         [
           qtest prop_hash_partition_covers;
           Alcotest.test_case "figure 2 semantics" `Quick
             test_dense_key_partition_is_figure2;
+          Alcotest.test_case "dense partition full range" `Quick
+            test_dense_key_partition_full_range;
           Alcotest.test_case "collect roundtrip" `Quick
             test_pipeline_collect_roundtrip;
           Alcotest.test_case "filter & map" `Quick test_pipeline_filter_map;

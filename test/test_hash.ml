@@ -150,6 +150,13 @@ let test_chain_stats () =
 
 (* --- dense SPH --------------------------------------------------------- *)
 
+let test_dense_sph_full_range () =
+  Alcotest.check_raises "domain too large"
+    (Invalid_argument "Perfect.Dense.create: domain too large") (fun () ->
+      ignore (Perfect.Dense.create ~lo:min_int ~hi:max_int));
+  let d = Perfect.Dense.create ~lo:(min_int + 1) ~hi:(-1) in
+  Alcotest.(check int) "widest countable domain" max_int (Perfect.Dense.domain_size d)
+
 let test_dense_sph () =
   let d = Perfect.Dense.create ~lo:10 ~hi:19 in
   Alcotest.(check int) "slot" 0 (Perfect.Dense.slot d 10);
@@ -241,6 +248,7 @@ let () =
       ( "perfect",
         [
           Alcotest.test_case "dense SPH" `Quick test_dense_sph;
+          Alcotest.test_case "dense SPH full range" `Quick test_dense_sph_full_range;
           qtest prop_fks_perfect;
           qtest prop_fks_rejects_foreign_keys;
           Alcotest.test_case "FKS linear space" `Quick test_fks_linear_space;

@@ -953,6 +953,113 @@ let test_hier_70_relation_chain () =
     (let c = (cheapest entries).Pareto.cost in
      Float.is_finite c && c > 0.0)
 
+(* --- planner golden digests ---------------------------------------------- *)
+
+(* Seventeen 2k-row chain tables [Ti(ki, fi)] with [ki] a permutation
+   key (stored in key order in every third table, so merge joins and
+   sorted properties take part) and [fi] a uniform foreign key into the
+   next table's [k], plus a 2k-row star fact [F(g1..g5, vf)] over
+   [T1..T5]; statistics measured from the data, as the engine's catalog
+   does. *)
+let golden_catalog =
+  lazy
+    (let rng = Rng.create ~seed:20 in
+     let n = 2_000 in
+     let rel name cols =
+       let schema =
+         Dqo_data.Schema.of_names
+           (List.map (fun (c, _) -> (c, Dqo_data.Schema.T_int)) cols)
+       in
+       Catalog.of_relation name
+         (Dqo_data.Relation.create schema
+            (List.map (fun (_, a) -> Dqo_data.Column.of_ints a) cols))
+     in
+     let fk bound = Array.init n (fun _ -> Rng.int rng bound) in
+     let chain i =
+       let k = Array.init n Fun.id in
+       if i mod 3 <> 0 then Rng.shuffle rng k;
+       let f = fk n in
+       rel (Printf.sprintf "T%d" i)
+         [ (Printf.sprintf "k%d" i, k); (Printf.sprintf "f%d" i, f) ]
+     in
+     let chains = List.init 17 chain in
+     let arms = List.init 5 (fun j -> (Printf.sprintf "g%d" (j + 1), fk n)) in
+     let fact = rel "F" (arms @ [ ("vf", fk 50) ]) in
+     Catalog.create (chains @ [ fact ]))
+
+let golden_chain_sql ~start ~rels ~where ~key ~sum =
+  let joins =
+    List.init (rels - 1) (fun j ->
+        let i = start + j + 1 in
+        Printf.sprintf " JOIN T%d ON f%d = k%d" i (i - 1) i)
+  in
+  Printf.sprintf "SELECT %s, COUNT(*) AS c0, SUM(%s) AS s1 FROM T%d%s WHERE %s GROUP BY %s"
+    key sum start (String.concat "" joins) (String.concat " AND " where) key
+
+(* Every root-frontier entry (plan, cost to the last bit, rows,
+   properties) and the search statistics without the per-level wall
+   times, digested per shape. *)
+let golden_digest (entries, stats) =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (e : Pareto.entry) ->
+      Buffer.add_string b
+        (Format.asprintf "%a|%h|%d|%a\n" Physical.pp e.Pareto.plan e.Pareto.cost
+           e.Pareto.rows Props.pp e.Pareto.props))
+    entries;
+  Buffer.add_string b
+    (Dqo_obs.Json.to_string (Search.stats_to_json { stats with Search.levels = [] }));
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let golden_shapes =
+  [ ( "chain6",
+      `Dp (golden_chain_sql ~start:0 ~rels:6 ~where:[ "f2 <= 1400"; "k0 >= 300" ]
+             ~key:"k0" ~sum:"f5") );
+    ( "chain7",
+      `Dp (golden_chain_sql ~start:4 ~rels:7
+             ~where:[ "k6 >= 500"; "f10 <= 900"; "k4 <= 1700" ] ~key:"f7" ~sum:"k9") );
+    ( "chain10",
+      `Dp (golden_chain_sql ~start:3 ~rels:10 ~where:[ "f5 <= 1200"; "k11 >= 250" ]
+             ~key:"k8" ~sum:"f12") );
+    ( "star6",
+      `Dp
+        ("SELECT vf, COUNT(*) AS c0 FROM F"
+        ^ String.concat ""
+            (List.init 5 (fun j -> Printf.sprintf " JOIN T%d ON g%d = k%d" (j + 1) (j + 1) (j + 1)))
+        ^ " WHERE k2 <= 1500 AND k5 >= 400 GROUP BY vf") );
+    ( "chain17-hier",
+      `Hier (golden_chain_sql ~start:0 ~rels:17 ~where:[ "f3 <= 1600"; "k12 >= 200" ]
+               ~key:"k0" ~sum:"f16") ) ]
+
+(* Recorded before the planner's inner loop was reworked; any change to
+   planning output must update these on purpose. *)
+let golden_expected =
+  [ ("chain6", "ad01465aeebef0304896e9751aab6d49");
+    ("chain7", "43a6bc0deea72b58e9290b9ea603f372");
+    ("chain10", "b7c842490deee89a0e0b24b9b67d667f");
+    ("star6", "24c89bcc4c49d229a33caee2b00587e5");
+    ("chain17-hier", "8b285602c7247e699d4d398ae7a271ec") ]
+
+let test_planner_golden () =
+  let catalog = Lazy.force golden_catalog in
+  List.iter
+    (fun (shape, q) ->
+      let digest =
+        match q with
+        | `Dp sql ->
+          golden_digest
+            (Search.optimize_entries Search.Deep catalog
+               (Dqo_sql.Binder.plan_of_sql catalog sql))
+        | `Hier sql ->
+          let entries, stats, _ =
+            Hier.optimize_entries ~partition_max:12 Search.Deep catalog
+              (Dqo_sql.Binder.plan_of_sql catalog sql)
+          in
+          golden_digest (entries, stats)
+      in
+      Alcotest.(check string) shape (List.assoc shape golden_expected) digest)
+    golden_shapes
+
 let () =
   Alcotest.run "dqo_opt"
     [
@@ -1038,6 +1145,8 @@ let () =
           Alcotest.test_case "70-relation chain" `Quick
             test_hier_70_relation_chain;
         ] );
+      ( "golden",
+        [ Alcotest.test_case "planner output digests" `Quick test_planner_golden ] );
       ( "parallel",
         [
           Alcotest.test_case "pool matches sequential" `Quick

@@ -77,28 +77,27 @@ let test_props_rename_restrict_union () =
     (Props.column u "x" <> None && Props.column u "z" <> None);
   Alcotest.(check bool) "union resets order" true (u.Props.sorted_by = None)
 
-(* Dominance must be transitive on arbitrary property triples. *)
+(* Dominance must be transitive on arbitrary property triples.  The
+   vectors draw from a small shared name pool: each name is present or
+   not and columns come in any order, so two draws may share all, some
+   or none of their names.  Names are unique within a vector, as
+   [Props.t] requires. *)
+let name_pool = [ "k"; "v"; "w"; "x" ]
+
 let props_gen =
   let open QCheck.Gen in
   let col_gen =
     let* dense = bool in
-    return
-      (if dense then dense_col else sparse_col)
+    let* hi = oneofl [ 9; 19 ] in
+    return (if dense then { dense_col with hi } else sparse_col)
   in
-  let* c1 = col_gen in
-  let* c2 = col_gen in
-  let* sorted = int_bound 2 in
-  let* co = bool in
-  let sorted_by =
-    match sorted with 0 -> None | 1 -> Some "k" | _ -> Some "v"
-  in
-  return
-    {
-      Props.sorted_by;
-      clustered_by = sorted_by;
-      columns = [ ("k", c1); ("v", c2) ];
-      co_ordered = (if co then [ ("k", "v") ] else []);
-    }
+  let* present = flatten_l (List.map (fun _ -> bool) name_pool) in
+  let names = List.filteri (fun i _ -> List.nth present i) name_pool in
+  let* cols = flatten_l (List.map (fun n -> map (fun c -> (n, c)) col_gen) names) in
+  let* columns = shuffle_l cols in
+  let* sorted_by = oneofl [ None; Some "k"; Some "v"; Some "w" ] in
+  let* co_ordered = oneofl [ []; [ ("k", "v") ]; [ ("v", "w"); ("k", "v") ] ] in
+  return { Props.sorted_by; clustered_by = sorted_by; columns; co_ordered }
 
 let prop_dominance_transitive =
   QCheck.Test.make ~name:"dominance is transitive" ~count:300
@@ -110,6 +109,54 @@ let prop_dominance_transitive =
 let prop_dominance_reflexive =
   QCheck.Test.make ~name:"dominance is reflexive" ~count:100
     (QCheck.make props_gen) (fun p -> Props.dominates p p)
+
+(* The assoc-list definition [Props.dominates] had before its column
+   walk was made linear; kept as the reference the walk must agree
+   with. *)
+let reference_dominates (a : Props.t) (b : Props.t) =
+  let opt_sub a b =
+    match (b, a) with
+    | None, _ -> true
+    | Some bn, Some an -> String.equal an bn
+    | Some _, None -> false
+  in
+  let column_dominates (a : Props.column) (b : Props.column) =
+    b.dense <= a.dense && ((not b.dense) || (a.lo = b.lo && a.hi = b.hi))
+  in
+  opt_sub a.sorted_by b.sorted_by
+  && opt_sub a.clustered_by b.clustered_by
+  && List.for_all (fun p -> List.mem p a.co_ordered) b.co_ordered
+  && List.for_all
+       (fun (n, bc) ->
+         match List.assoc_opt n a.columns with
+         | Some ac -> column_dominates ac bc
+         | None -> not bc.dense)
+       b.columns
+
+(* Pairs drawn independently, and pairs where the second vector is built
+   from the first the way the optimiser builds them, so that they share
+   column cells, list suffixes or the whole vector. *)
+let props_pair_gen =
+  let open QCheck.Gen in
+  let* a = props_gen in
+  let* other = props_gen in
+  let* b =
+    oneof
+      [ return other;
+        return a;
+        map (fun columns -> { a with Props.columns }) (shuffle_l a.Props.columns);
+        return { a with Props.columns = (match a.Props.columns with [] -> [] | _ :: t -> t) };
+        return (Props.union_columns other a);
+        return (Props.union_columns a other);
+        map (fun n -> Props.with_sort a n) (oneofl name_pool);
+        return (Props.shallow a) ]
+  in
+  oneofl [ (a, b); (b, a) ]
+
+let prop_dominance_matches_reference =
+  QCheck.Test.make ~name:"dominance matches reference"
+    ~count:2000 (QCheck.make props_pair_gen) (fun (a, b) ->
+      Props.dominates a b = reference_dominates a b)
 
 (* --- logical ------------------------------------------------------------ *)
 
@@ -280,6 +327,7 @@ let () =
             test_props_rename_restrict_union;
           qtest prop_dominance_transitive;
           qtest prop_dominance_reflexive;
+          qtest prop_dominance_matches_reference;
           Alcotest.test_case "of_stats" `Quick test_props_of_stats;
         ] );
       ( "logical",

@@ -44,6 +44,30 @@ let test_lexer_error () =
       (Astring.String.is_infix ~affix:"position" msg)
   | _ -> Alcotest.fail "expected a lexer error"
 
+let test_lexer_negative_literals () =
+  let lit s = List.hd (Lexer.tokenize s) in
+  Alcotest.(check bool) "-5" true (lit "-5" = Token.Int_lit (-5));
+  Alcotest.(check bool) "-1_000" true (lit "-1_000" = Token.Int_lit (-1_000));
+  Alcotest.(check bool) "min_int" true
+    (lit "-4611686018427387904" = Token.Int_lit min_int);
+  Alcotest.(check bool) "after an operator" true
+    (Lexer.tokenize "b<-5" = [ Token.Ident "b"; Token.Lt; Token.Int_lit (-5); Token.Eof ]);
+  let rejects s =
+    match Lexer.tokenize s with
+    | exception Lexer.Error _ -> true
+    | _ -> false
+  in
+  Alcotest.(check bool) "- 5 is not a literal" true (rejects "b < - 5");
+  Alcotest.(check bool) "max_int + 1 out of range" true (rejects "4611686018427387904");
+  Alcotest.(check bool) "min_int - 1 out of range" true (rejects "-4611686018427387905");
+  let q = Parser.parse "SELECT a FROM R WHERE b < -5 AND a BETWEEN -4611686018427387904 AND -1" in
+  match q.Ast.where with
+  | [ c1; c2 ] ->
+    Alcotest.(check bool) "b < -5" true (c1.Ast.predicate = Filter.Lt (-5));
+    Alcotest.(check bool) "between min_int and -1" true
+      (c2.Ast.predicate = Filter.Between (min_int, -1))
+  | _ -> Alcotest.fail "conditions"
+
 (* --- parser ----------------------------------------------------------- *)
 
 let test_parser_full_query () =
@@ -194,6 +218,7 @@ let () =
           Alcotest.test_case "qualified" `Quick test_lexer_qualified_idents;
           Alcotest.test_case "operators" `Quick test_lexer_operators;
           Alcotest.test_case "errors" `Quick test_lexer_error;
+          Alcotest.test_case "negative literals" `Quick test_lexer_negative_literals;
         ] );
       ( "parser",
         [

@@ -35,6 +35,20 @@ let test_rng_bounds () =
     Alcotest.(check bool) "in [-5,5]" true (v >= -5 && v <= 5)
   done
 
+(* Ranges holding more values than max_int: [hi - lo + 1] wraps. *)
+let test_rng_full_range () =
+  let rng = Rng.create ~seed:11 in
+  let draws lo hi = List.init 200 (fun _ -> Rng.int_in_range rng ~lo ~hi) in
+  let full = draws min_int max_int in
+  Alcotest.(check bool) "full range: both signs" true
+    (List.exists (fun v -> v < 0) full && List.exists (fun v -> v > 0) full);
+  Alcotest.(check bool) "upper half-open range stays non-negative" true
+    (List.for_all (fun v -> v >= 0) (draws 0 max_int));
+  Alcotest.(check bool) "lower range stays at or below 0" true
+    (List.for_all (fun v -> v <= 0) (draws min_int 0));
+  Alcotest.(check bool) "min_int + 1 .. max_int excludes min_int" true
+    (List.for_all (fun v -> v <> min_int) (draws (min_int + 1) max_int))
+
 let test_rng_invalid_args () =
   let rng = Rng.create ~seed:1 in
   Alcotest.check_raises "bound 0" (Invalid_argument "Rng.int: bound must be positive")
@@ -429,6 +443,7 @@ let () =
           Alcotest.test_case "seeds differ" `Quick test_rng_seeds_differ;
           Alcotest.test_case "bounds" `Quick test_rng_bounds;
           Alcotest.test_case "invalid args" `Quick test_rng_invalid_args;
+          Alcotest.test_case "full range" `Quick test_rng_full_range;
           Alcotest.test_case "shuffle permutes" `Quick
             test_rng_shuffle_is_permutation;
           Alcotest.test_case "sample distinct" `Quick test_sample_distinct;

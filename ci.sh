@@ -213,4 +213,18 @@ tail -n 1 "$pw_out" | grep -q '"correct": true' \
 tail -n 1 "$pw_out" | grep -q '"failed": 0,' \
   || { echo "ci: perfbench plan-wide had failed requests" >&2; exit 1; }
 
+echo "== perfbench skew-adaptive smoke =="
+# Sparse keys with feedback and the advisor on: after its tick the join
+# and grouping run through the perfect-hash AVs' FKS kernels, the only
+# CI run that serves through them.  Gates only on correctness and
+# failures, never on times.
+sa_out="$(mktemp -t perfbench_skew_XXXXXX.txt)"
+trap 'rm -f "$out" "$hr_out" "$ps_out" "$ps_log" "$serve_out" "$fb_out" "$adv_out" "$pb_out" "$pw_out" "$sa_out"' EXIT
+python3 perfbench/run.py --workload skew-adaptive --seconds 3 > "$sa_out" \
+  || { echo "ci: perfbench skew-adaptive run failed" >&2; exit 1; }
+tail -n 1 "$sa_out" | grep -q '"correct": true' \
+  || { echo "ci: perfbench skew-adaptive results not correct" >&2; exit 1; }
+tail -n 1 "$sa_out" | grep -q '"failed": 0,' \
+  || { echo "ci: perfbench skew-adaptive had failed requests" >&2; exit 1; }
+
 echo "ci: OK"

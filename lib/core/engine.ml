@@ -53,10 +53,10 @@ type t = {
      (register / install_av / uninstall_av); prepared statements
      snapshot it so stale plans are detectable. *)
   mutable generation : int;
-  (* Perfect-hash structures built by AVs, keyed by column name; the
-     executor consults these when a plan prescribes SPH on a column whose
-     physical domain is not dense. *)
-  fks_index : (string, Fks.t) Hashtbl.t;
+  (* Perfect-hash structures built by AVs, keyed by (relation, column);
+     the executor consults these when a plan prescribes SPH on a column
+     whose physical domain is not dense. *)
+  fks_index : (string * string, Fks.t) Hashtbl.t;
   (* Cardinality corrections learned from analysed executions.  Always
      allocated; [opts.feedback] gates whether planning reads it and
      execution writes it, so toggling the option never loses what was
@@ -171,83 +171,38 @@ let plan_sql_on t ~pool mode sql =
 (* ------------------------------------------------------------------ *)
 (* Execution.                                                          *)
 
-(* Grouping via an FKS perfect hash built offline by an AV: the slot of a
-   key comes from the FKS structure instead of the dense offset. *)
-let fks_grouping fks ~keys ~values =
-  let g = Fks.length fks in
-  let slot_key = Array.make (max 1 g) 0 in
-  let counts = Array.make (max 1 g) 0 in
-  let sums = Array.make (max 1 g) 0 in
-  Int_col.iter_seg2 keys values ~f:(fun _ kb ko vb vo len ->
-      for i = 0 to len - 1 do
-        let k = kb.(ko + i) in
-        match Fks.slot fks k with
-        | Some s ->
-          slot_key.(s) <- k;
-          counts.(s) <- counts.(s) + 1;
-          sums.(s) <- sums.(s) + vb.(vo + i)
-        | None ->
-          invalid_arg "Engine: key outside the perfect-hash AV's key set"
-      done);
-  (* Compact away never-hit slots (keys present in the AV build set but
-     absent from this input). *)
-  let hit = ref 0 in
-  Array.iter (fun c -> if c > 0 then incr hit) counts;
-  let out_k = Array.make !hit 0
-  and out_c = Array.make !hit 0
-  and out_s = Array.make !hit 0 in
-  let j = ref 0 in
-  for s = 0 to g - 1 do
-    if counts.(s) > 0 then begin
-      out_k.(!j) <- slot_key.(s);
-      out_c.(!j) <- counts.(s);
-      out_s.(!j) <- sums.(s);
-      incr j
-    end
-  done;
-  { Dqo_exec.Group_result.keys = out_k; counts = out_c; sums = out_s }
+(* The base relation column [col] of [p]'s output comes from.  A join
+   keeps its left input's column on a name clash (the right one is
+   primed), so the left input answers first. *)
+let rec source_relation t (p : Physical.t) col =
+  match p with
+  | Physical.Table_scan name ->
+    if Schema.mem (Relation.schema (relation t name)) col then Some name
+    else None
+  | Physical.Filter_op (sub, _, _)
+  | Physical.Project_op (sub, _)
+  | Physical.Sort_enforcer (sub, _) ->
+    source_relation t sub col
+  | Physical.Join_op (l, r, _, _, _) -> (
+    match source_relation t l col with
+    | Some _ as found -> found
+    | None -> source_relation t r col)
+  | Physical.Group_op (sub, key, _, _) ->
+    if String.equal key col then source_relation t sub col else None
 
-let fks_join fks ~left ~right =
-  (* SPH join where the perfect hash comes from an AV: bucket heads are
-     indexed by FKS slot.  Chain-walking needs random access to the
-     build keys, so materialise the build side once (zero-copy when
-     flat). *)
-  let larr = Int_col.unsafe_array left in
-  let g = max 1 (Fks.length fks) in
-  let head = Array.make g (-1) in
-  let next = Array.make (max 1 (Array.length larr)) (-1) in
-  Array.iteri
-    (fun i k ->
-      match Fks.slot fks k with
-      | Some s ->
-        next.(i) <- head.(s);
-        head.(s) <- i
-      | None ->
-        invalid_arg "Engine: build key outside the perfect-hash AV's key set")
-    larr;
-  let lbuf = ref [] and rbuf = ref [] and count = ref 0 in
-  Int_col.iteri right ~f:(fun j k ->
-      match Fks.slot fks k with
-      | None -> ()
-      | Some s ->
-        let e = ref head.(s) in
-        while !e >= 0 do
-          if larr.(!e) = k then begin
-            lbuf := !e :: !lbuf;
-            rbuf := j :: !rbuf;
-            incr count
-          end;
-          e := next.(!e)
-        done);
-  let l = Array.make !count 0 and r = Array.make !count 0 in
-  let pos = ref (!count - 1) in
-  List.iter2
-    (fun a b ->
-      l.(!pos) <- a;
-      r.(!pos) <- b;
-      decr pos)
-    !lbuf !rbuf;
-  { Join.left = l; right = r }
+(* The perfect hash a perfect-hash AV built over [col]'s source
+   relation, for SPH on [col] of [p]'s output when its domain is
+   sparse; raises like the planner's precondition failed otherwise. *)
+let fks_for t ~op (p : Physical.t) col =
+  match
+    Option.bind (source_relation t p col) (fun rel ->
+        Hashtbl.find_opt t.fks_index (rel, col))
+  with
+  | Some fks -> fks
+  | None ->
+    invalid_arg
+      ("Engine: " ^ op ^ " chosen for sparse column " ^ col
+     ^ " without a perfect-hash AV")
 
 (* The slot array of an SPH kernel covers the whole [lo, hi] domain of
    its key column; that is affordable whenever the domain is within a
@@ -267,7 +222,7 @@ let sph_bounds col =
    run their [Dqo_par] counterparts (per-domain metrics registries merge
    into [metrics] after each barrier).  [need] lists the output columns
    the parent reads ([None]: all of them). *)
-let exec_join t ?pool ?metrics ?need left_rel right_rel lc rc
+let exec_join t ?pool ?metrics ?need ~lplan left_rel right_rel lc rc
     (impl : Physical.join_impl) =
   let lk = Relation.int_col left_rel lc in
   let rk = Relation.int_col right_rel rc in
@@ -291,13 +246,7 @@ let exec_join t ?pool ?metrics ?need left_rel right_rel lc rc
     | Join.SPHJ -> (
       match sph_bounds lk with
       | Some (lo, hi) -> Join.sph_join ~lo ~hi ~left:lk ~right:rk
-      | None -> (
-        match Hashtbl.find_opt t.fks_index lc with
-        | Some fks -> fks_join fks ~left:lk ~right:rk
-        | None ->
-          invalid_arg
-            ("Engine: SPHJ chosen for sparse column " ^ lc
-           ^ " without a perfect-hash AV")))
+      | None -> Join.fks_join (fks_for t ~op:"SPHJ" lplan lc) ~left:lk ~right:rk)
   in
   Join.materialize ?only:need left_rel right_rel pairs
 
@@ -332,7 +281,7 @@ let fast_path_payload aggs =
     | _ :: _ :: _ -> None
   end
 
-let group_fast t ?pool ?metrics rel key aggs payload_col
+let group_fast t ?pool ?metrics ~sub rel key aggs payload_col
     (impl : Physical.grouping_impl) =
   let keys = Relation.int_col rel key in
   let values =
@@ -377,13 +326,7 @@ let group_fast t ?pool ?metrics rel key aggs payload_col
         match parallel with
         | Some pool -> Dqo_par.Par_group.sph pool ?metrics ~lo ~hi ~keys ~values ()
         | None -> Grouping.sph_based ~lo ~hi ~keys ~values)
-      | None -> (
-        match Hashtbl.find_opt t.fks_index key with
-        | Some fks -> fks_grouping fks ~keys ~values
-        | None ->
-          invalid_arg
-            ("Engine: SPHG chosen for sparse column " ^ key
-           ^ " without a perfect-hash AV")))
+      | None -> Grouping.fks_based (fks_for t ~op:"SPHG" sub key) ~keys ~values)
   in
   let agg_column (a : Logical.aggregate) =
     match a.Logical.spec with
@@ -522,11 +465,11 @@ let exec_node t ?pool ?metrics ~need ~child (p : Physical.t) =
     let need = join_need need in
     let lr = child (with_col need lc) l in
     let rr = child (with_col need rc) r in
-    exec_join t ?pool ?metrics ?need lr rr lc rc impl
+    exec_join t ?pool ?metrics ?need ~lplan:l lr rr lc rc impl
   | Physical.Group_op (sub, key, aggs, impl) -> (
     let rel = child (Some (group_reads key aggs)) sub in
     match fast_path_payload aggs with
-    | Some payload -> group_fast t ?pool ?metrics rel key aggs payload impl
+    | Some payload -> group_fast t ?pool ?metrics ~sub rel key aggs payload impl
     | None -> group_generic rel key aggs)
 
 let execute_in t ?pool p =
@@ -980,7 +923,7 @@ let install_av t (v : Dqo_av.View.t) =
       let m = Dqo_av.View.materialize rel v in
       match m with
       | Dqo_av.View.M_fks fks ->
-        Hashtbl.replace t.fks_index column fks;
+        Hashtbl.replace t.fks_index (rel_name, column) fks;
         measure_bytes rel m
       | Dqo_av.View.M_dense_bounds _ -> measure_bytes rel m
       | Dqo_av.View.M_sorted _ | Dqo_av.View.M_grouping _ -> assert false)
@@ -1029,8 +972,8 @@ let uninstall_av t id =
          re-measures the relation, so the (still true) sortedness keeps
          being visible to the optimiser. *)
       ()
-    | Dqo_av.View.Perfect_hash { column; _ } ->
-      Hashtbl.remove t.fks_index column
+    | Dqo_av.View.Perfect_hash { relation = rel_name; column } ->
+      Hashtbl.remove t.fks_index (rel_name, column)
     | Dqo_av.View.Grouping_result { relation = rel_name; key } ->
       let name = rel_name ^ "__by_" ^ key in
       t.relations <-

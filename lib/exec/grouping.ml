@@ -158,6 +158,25 @@ let sph_based ~lo ~hi ~keys ~values =
       done);
   compact { keys = Array.init domain (fun s -> lo + s); counts; sums }
 
+let fks_based fks ~keys ~values =
+  check_lengths keys values;
+  let module Fks = Dqo_hash.Perfect.Fks in
+  let g = Fks.length fks in
+  let slot_key = Array.make g 0 in
+  let counts = Array.make g 0 and sums = Array.make g 0 in
+  Int_col.iter_seg2 keys values ~f:(fun _ kb ko vb vo len ->
+      for i = 0 to len - 1 do
+        let k = Array.unsafe_get kb (ko + i) in
+        let slot = Fks.find fks k in
+        if slot < 0 then
+          invalid_arg "Grouping.fks_based: key outside the perfect hash's key set";
+        Array.unsafe_set slot_key slot k;
+        Array.unsafe_set counts slot (Array.unsafe_get counts slot + 1);
+        Array.unsafe_set sums slot
+          (Array.unsafe_get sums slot + Array.unsafe_get vb (vo + i))
+      done);
+  compact { keys = slot_key; counts; sums }
+
 let order_based ?(expected = 16) ~keys ~values () =
   check_lengths keys values;
   let b = buf_create expected in

@@ -59,6 +59,16 @@ val sph_based : lo:int -> hi:int -> keys:Dqo_data.Int_col.t -> values:Dqo_data.I
     @raise Invalid_argument on length mismatch or a key outside
     [\[lo, hi\]]. *)
 
+val fks_based :
+  Dqo_hash.Perfect.Fks.t -> keys:Dqo_data.Int_col.t -> values:Dqo_data.Int_col.t ->
+  Group_result.t
+(** [fks_based fks ~keys ~values] — SPHG over a sparse key domain: the
+    slot of a key comes from [fks], a static perfect hash built offline
+    (by a perfect-hash AV) over a superset of the keys.  Groups come in
+    slot order; slots no key hit are dropped.
+    @raise Invalid_argument on length mismatch or a key outside [fks]'s
+    key set. *)
+
 val order_based : ?expected:int -> keys:Dqo_data.Int_col.t -> values:Dqo_data.Int_col.t
   -> unit -> Group_result.t
 (** [order_based ~keys ~values ()] — OG.  Requires the input clustered by

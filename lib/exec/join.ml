@@ -42,50 +42,121 @@ let reader col =
   | Some a -> fun i -> a.(i)
   | None -> Int_col.get col
 
-(* Build a multimap over [left]: key -> chain of left row ids, where
-   [head] is indexed by the dense slot of the key and [next] chains
-   duplicates (most recent first).  The probe side streams segment by
-   segment. *)
-let probe_chains ~head_of ~next ~right b =
-  Int_col.iter_seg right ~f:(fun pos buf off len ->
+(* How the kernel finds a probe key's slot: [Offset] is SPHJ's [key -
+   lo] over the dense domain [\[lo, hi\]], computed inline; [Lookup f]
+   calls [f], which returns -1 when no build row can match.  A lookup
+   is worth remembering between the probe side's two passes, a
+   subtraction is cheaper to redo than to store. *)
+type probe = Offset of { lo : int; hi : int } | Lookup of (int -> int)
+
+(* The one kernel of every hashed join (HJ, SPHJ, the FKS join).  Build
+   row [i]'s slot is [slots.(i) - base], which must lie in
+   [0, n_slots) (else [Invalid_argument reject]); equal slots must mean
+   equal keys.  SPHJ passes its key column as [slots] and [lo] as
+   [base]; the others pass the slots they computed.
+
+   The build side is laid out by slot, counting-sort style: the left
+   row ids of slot [s] sit contiguously in [rows.(run.(s) .. run.(s +
+   1) - 1)], most recent first.  A probe reads one run instead of
+   chasing a chain of dependent loads through a row-sized [next] array,
+   which missed the cache on every hop.  A counting pass over the probe
+   side sizes the pair arrays exactly.  Pairs come in probe order, and
+   for one probe row in descending build row order. *)
+let slot_join ~n_slots ~slots ~base ~reject ~probe ~right =
+  (* [run.(s)] counts the keys in slots [0..s], i.e. ends at the end of
+     run [s]; the scatter then moves it back to the start of the run. *)
+  let run = Array.make (n_slots + 1) 0 in
+  Int_col.iter_seg slots ~f:(fun _ buf off len ->
+      for k = off to off + len - 1 do
+        (* A key far outside SPHJ's domain wraps, but never into
+           [0, n_slots). *)
+        let s = Array.unsafe_get buf k - base in
+        if s < 0 || s >= n_slots then invalid_arg reject;
+        Array.unsafe_set run s (Array.unsafe_get run s + 1)
+      done);
+  for s = 1 to n_slots do
+    Array.unsafe_set run s (Array.unsafe_get run s + Array.unsafe_get run (s - 1))
+  done;
+  let rows = Array.make (Int_col.length slots) 0 in
+  Int_col.iter_seg slots ~f:(fun pos buf off len ->
       for k = 0 to len - 1 do
-        let j = pos + k in
-        let e = ref (head_of (Array.unsafe_get buf (off + k))) in
-        while !e >= 0 do
-          buf_push b !e j;
-          e := next.(!e)
+        let s = Array.unsafe_get buf (off + k) - base in
+        let p = Array.unsafe_get run s - 1 in
+        Array.unsafe_set run s p;
+        Array.unsafe_set rows p (pos + k)
+      done);
+  let matches = ref 0 in
+  match probe with
+  | Offset { lo; hi } ->
+    Int_col.iter_seg right ~f:(fun _ buf off len ->
+        for k = off to off + len - 1 do
+          let key = Array.unsafe_get buf k in
+          if key >= lo && key <= hi then
+            matches :=
+              !matches + Array.unsafe_get run (key - lo + 1)
+              - Array.unsafe_get run (key - lo)
+        done);
+    let l = Array.make !matches 0 and r = Array.make !matches 0 in
+    let out = ref 0 in
+    Int_col.iter_seg right ~f:(fun pos buf off len ->
+        for k = 0 to len - 1 do
+          let key = Array.unsafe_get buf (off + k) in
+          if key >= lo && key <= hi then
+            for p = Array.unsafe_get run (key - lo)
+                to Array.unsafe_get run (key - lo + 1) - 1 do
+              Array.unsafe_set l !out (Array.unsafe_get rows p);
+              Array.unsafe_set r !out (pos + k);
+              incr out
+            done
+        done);
+    { left = l; right = r }
+  | Lookup find ->
+    (* The counting pass keeps each probe row's slot, so the emitting
+       pass neither reads the probe keys nor looks them up again. *)
+    let probe_slot = Array.make (Int_col.length right) (-1) in
+    Int_col.iter_seg right ~f:(fun pos buf off len ->
+        for k = 0 to len - 1 do
+          let s = find (Array.unsafe_get buf (off + k)) in
+          if s >= 0 then begin
+            Array.unsafe_set probe_slot (pos + k) s;
+            matches := !matches + run.(s + 1) - Array.unsafe_get run s
+          end
+        done);
+    let l = Array.make !matches 0 and r = Array.make !matches 0 in
+    let out = ref 0 in
+    for j = 0 to Array.length probe_slot - 1 do
+      let s = Array.unsafe_get probe_slot j in
+      if s >= 0 then
+        for p = Array.unsafe_get run s to Array.unsafe_get run (s + 1) - 1 do
+          Array.unsafe_set l !out (Array.unsafe_get rows p);
+          Array.unsafe_set r !out j;
+          incr out
         done
-      done)
+    done;
+    { left = l; right = r }
+
+(* [slot_of] applied to every key of [left], as a flat column. *)
+let map_keys left ~slot_of =
+  let slots = Array.make (Int_col.length left) 0 in
+  Int_col.iter_seg left ~f:(fun pos buf off len ->
+      for k = 0 to len - 1 do
+        Array.unsafe_set slots (pos + k) (slot_of (Array.unsafe_get buf (off + k)))
+      done);
+  Int_col.of_array slots
 
 let hash_join ?(hash = Dqo_hash.Hash_fn.Murmur3) ?(table = Grouping.Chaining)
     ~left ~right () =
   let n = Int_col.length left in
-  let next = Array.make (max 1 n) (-1) in
-  let b = buf_create () in
-  (* All three table kinds expose the same dense-slot interface; the
-     multimap layer on top is shared. *)
+  (* All three table kinds assign dense insertion-ordered slots, which
+     is all the kernel needs. *)
   let build (type t) (module T : Dqo_hash.Table_intf.TABLE with type t = t)
       (tbl : t) =
-    let head = ref (Array.make (max 16 n) (-1)) in
-    Int_col.iter_seg left ~f:(fun pos buf off len ->
-        for k = 0 to len - 1 do
-          let i = pos + k in
-          let slot = T.find_or_add tbl (Array.unsafe_get buf (off + k)) in
-          if slot >= Array.length !head then begin
-            let grown = Array.make (2 * Array.length !head) (-1) in
-            Array.blit !head 0 grown 0 (Array.length !head);
-            head := grown
-          end;
-          next.(i) <- !head.(slot);
-          !head.(slot) <- i
-        done);
-    let head = !head in
-    let head_of key =
-      match T.find tbl key with Some slot -> head.(slot) | None -> -1
-    in
-    probe_chains ~head_of ~next ~right b
+    let slots = map_keys left ~slot_of:(T.find_or_add tbl) in
+    slot_join ~n_slots:(T.length tbl) ~slots ~base:0
+      ~reject:"Join.hash_join: slot out of range" ~probe:(Lookup (T.find tbl))
+      ~right
   in
-  (match table with
+  match table with
   | Grouping.Chaining ->
     build (module Dqo_hash.Chain_table)
       (Dqo_hash.Chain_table.create ~hash ~expected:n ())
@@ -94,15 +165,8 @@ let hash_join ?(hash = Dqo_hash.Hash_fn.Murmur3) ?(table = Grouping.Chaining)
       (Dqo_hash.Linear_probe.create ~hash ~expected:n ())
   | Grouping.Robin_hood ->
     build (module Dqo_hash.Robin_hood)
-      (Dqo_hash.Robin_hood.create ~hash ~expected:n ()));
-  buf_result b
+      (Dqo_hash.Robin_hood.create ~hash ~expected:n ())
 
-(* The build side is laid out by slot, counting-sort style: the left
-   row ids of slot [s] sit contiguously in [rows.(run.(s) .. run.(s + 1)
-   - 1)], most recent first.  A probe reads one run instead of chasing
-   a chain of dependent loads through a row-sized [next] array, which
-   missed the cache on every hop.  A counting pass over the probe side
-   sizes the pair buffer exactly. *)
 let sph_join ~lo ~hi ~left ~right =
   if hi < lo then invalid_arg "Join.sph_join: hi < lo";
   let domain =
@@ -110,51 +174,17 @@ let sph_join ~lo ~hi ~left ~right =
     | Some d when d < max_int -> d
     | Some _ | None -> invalid_arg "Join.sph_join: domain exceeds max_int"
   in
-  (* [run.(s)] counts the keys in slots [0..s], i.e. ends at the end of
-     run [s]; the scatter then moves it back to the start of the run. *)
-  let run = Array.make (domain + 1) 0 in
-  Int_col.iter_seg left ~f:(fun _ buf off len ->
-      for k = off to off + len - 1 do
-        let key = Array.unsafe_get buf k in
-        if key < lo || key > hi then
-          invalid_arg "Join.sph_join: build key outside dense domain";
-        let s = key - lo in
-        Array.unsafe_set run s (Array.unsafe_get run s + 1)
-      done);
-  for s = 1 to domain do
-    Array.unsafe_set run s (Array.unsafe_get run s + Array.unsafe_get run (s - 1))
-  done;
-  let rows = Array.make (Int_col.length left) 0 in
-  Int_col.iter_seg left ~f:(fun pos buf off len ->
-      for k = 0 to len - 1 do
-        let s = Array.unsafe_get buf (off + k) - lo in
-        let p = Array.unsafe_get run s - 1 in
-        Array.unsafe_set run s p;
-        Array.unsafe_set rows p (pos + k)
-      done);
-  let matches = ref 0 in
-  Int_col.iter_seg right ~f:(fun _ buf off len ->
-      for k = off to off + len - 1 do
-        let key = Array.unsafe_get buf k in
-        if key >= lo && key <= hi then
-          matches :=
-            !matches + Array.unsafe_get run (key - lo + 1)
-            - Array.unsafe_get run (key - lo)
-      done);
-  let l = Array.make !matches 0 and r = Array.make !matches 0 in
-  let out = ref 0 in
-  Int_col.iter_seg right ~f:(fun pos buf off len ->
-      for k = 0 to len - 1 do
-        let key = Array.unsafe_get buf (off + k) in
-        if key >= lo && key <= hi then
-          for p = Array.unsafe_get run (key - lo)
-              to Array.unsafe_get run (key - lo + 1) - 1 do
-            Array.unsafe_set l !out (Array.unsafe_get rows p);
-            Array.unsafe_set r !out (pos + k);
-            incr out
-          done
-      done);
-  { left = l; right = r }
+  slot_join ~n_slots:domain ~slots:left ~base:lo
+    ~reject:"Join.sph_join: build key outside dense domain"
+    ~probe:(Offset { lo; hi }) ~right
+
+let fks_join fks ~left ~right =
+  let module Fks = Dqo_hash.Perfect.Fks in
+  slot_join ~n_slots:(Fks.length fks)
+    ~slots:(map_keys left ~slot_of:(Fks.find fks))
+    ~base:0
+    ~reject:"Join.fks_join: build key outside the perfect hash's key set"
+    ~probe:(Lookup (Fks.find fks)) ~right
 
 (* Merge join over key/id accessors: [lkey]/[rkey] enumerate the inputs
    in key order, [lid]/[rid] map merge ranks back to row ids; equal-key

@@ -26,14 +26,26 @@ val hash_join :
   right:Dqo_data.Int_col.t ->
   unit ->
   result
-(** HJ: build a hash multimap on [left], probe with [right]. *)
+(** HJ: build a hash table on [left], probe with [right].  The table's
+    dense slots lay the build side out by key, as {!sph_join} does. *)
 
 val sph_join :
   lo:int -> hi:int -> left:Dqo_data.Int_col.t -> right:Dqo_data.Int_col.t -> result
-(** SPHJ: the build side's key domain [\[lo, hi\]] is dense; the key is
-    the offset into the bucket-head array.  Probe keys outside the domain
-    simply do not match.
+(** SPHJ: the build side's key domain [\[lo, hi\]] is dense; the key's
+    offset [key - lo] is its slot.  Probe keys outside the domain
+    simply do not match.  Pairs come in probe order, and for one probe
+    row in descending build row order; {!hash_join} and {!fks_join}
+    emit the same order.
     @raise Invalid_argument if a {e left} key falls outside [\[lo, hi\]]. *)
+
+val fks_join :
+  Dqo_hash.Perfect.Fks.t -> left:Dqo_data.Int_col.t -> right:Dqo_data.Int_col.t -> result
+(** SPHJ over a sparse key domain: [fks] is a static perfect hash built
+    offline (by a perfect-hash AV) over a superset of the [left] keys,
+    and a key's FKS slot takes the place of its dense offset.  Probe keys
+    outside [fks]'s key set do not match.  The pairs are those of
+    {!sph_join}, in the same order.
+    @raise Invalid_argument if a {e left} key is not in [fks]'s key set. *)
 
 val merge_join : left:Dqo_data.Int_col.t -> right:Dqo_data.Int_col.t -> result
 (** OJ: both inputs must be sorted; emits pairs in key order.

@@ -50,30 +50,32 @@ let ensure_entry_room t =
     t.entry_next <- nn
   end
 
-let find t key =
-  let b = Hash_fn.apply t.hash key land t.mask in
-  let rec chase e =
-    if e < 0 then None
-    else if t.entry_key.(e) = key then Some e
-    else chase t.entry_next.(e)
-  in
-  chase t.head.(b)
+(* Walk the chain from entry [e] for [key]: its slot, or -1. *)
+let rec chase t key e =
+  if e < 0 || t.entry_key.(e) = key then e
+  else chase t key t.entry_next.(e)
 
+let find t key = chase t key t.head.(Hash_fn.apply t.hash key land t.mask)
+
+(* One probe: the key is hashed once; a rehash only changes the mask
+   applied to the hash. *)
 let find_or_add t key =
-  match find t key with
-  | Some slot -> slot
-  | None ->
+  let h = Hash_fn.apply t.hash key in
+  let e = chase t key t.head.(h land t.mask) in
+  if e >= 0 then e
+  else begin
     if t.count >= t.mask + 1 then rehash t;
     ensure_entry_room t;
     let e = t.count in
-    let b = Hash_fn.apply t.hash key land t.mask in
+    let b = h land t.mask in
     t.entry_key.(e) <- key;
     t.entry_next.(e) <- t.head.(b);
     t.head.(b) <- e;
     t.count <- t.count + 1;
     e
+  end
 
-let mem t key = Option.is_some (find t key)
+let mem t key = find t key >= 0
 
 let iter f t =
   for e = 0 to t.count - 1 do

@@ -32,4 +32,5 @@ let apply fn key =
   | Multiply_shift -> multiply_shift key
   | Identity -> key land max_int
 
-let with_seed fn ~seed key = apply fn (key lxor (seed * 0x51502A8334304AAB))
+let seed_mix seed = seed * 0x51502A8334304AAB
+let with_seed fn ~seed key = apply fn (key lxor seed_mix seed)

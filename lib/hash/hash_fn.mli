@@ -30,6 +30,11 @@ val murmur3 : int -> int
 val fibonacci : int -> int
 val multiply_shift : int -> int
 
+val seed_mix : int -> int
+(** [seed_mix seed] is what {!with_seed} xors into the key before
+    hashing; a caller that hashes under one seed many times can compute
+    it once. *)
+
 val with_seed : t -> seed:int -> int -> int
 (** [with_seed fn ~seed key] perturbs [key] with [seed] before hashing,
     yielding an (approximate) universal family — used by the FKS perfect

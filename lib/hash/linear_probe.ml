@@ -1,6 +1,7 @@
 (* Buckets are two parallel arrays [keys] and [slots]; [empty_key] marks a
    free bucket.  We resize at 70% load by rehashing into a table twice the
-   size.  Keys may be any int except [min_int] (reserved sentinel). *)
+   size.  The sentinel [min_int] is a valid key too: its slot lives in
+   [min_slot] instead of a bucket. *)
 
 type t = {
   hash : Hash_fn.t;
@@ -8,6 +9,7 @@ type t = {
   mutable slots : int array;
   mutable mask : int; (* capacity - 1; capacity is a power of two *)
   mutable count : int;
+  mutable min_slot : int; (* slot of the key [min_int], or -1 *)
 }
 
 let name = "linear-probing"
@@ -24,6 +26,7 @@ let create ?(hash = Hash_fn.Murmur3) ~expected () =
     slots = Array.make cap 0;
     mask = cap - 1;
     count = 0;
+    min_slot = -1;
   }
 
 let capacity t = t.mask + 1
@@ -49,38 +52,43 @@ let grow t =
     old_keys
 
 let find_or_add t key =
-  if 10 * t.count >= 7 * (t.mask + 1) then grow t;
-  let j = ref (Hash_fn.apply t.hash key land t.mask) in
-  let result = ref (-1) in
-  while !result < 0 do
-    let k = t.keys.(!j) in
-    if k = key then result := t.slots.(!j)
-    else if k = empty_key then begin
-      t.keys.(!j) <- key;
-      t.slots.(!j) <- t.count;
-      result := t.count;
+  if key = empty_key then begin
+    if t.min_slot < 0 then begin
+      t.min_slot <- t.count;
       t.count <- t.count + 1
-    end
-    else j := (!j + 1) land t.mask
-  done;
-  !result
+    end;
+    t.min_slot
+  end
+  else begin
+    if 10 * t.count >= 7 * (t.mask + 1) then grow t;
+    let j = ref (Hash_fn.apply t.hash key land t.mask) in
+    let result = ref (-1) in
+    while !result < 0 do
+      let k = t.keys.(!j) in
+      if k = key then result := t.slots.(!j)
+      else if k = empty_key then begin
+        t.keys.(!j) <- key;
+        t.slots.(!j) <- t.count;
+        result := t.count;
+        t.count <- t.count + 1
+      end
+      else j := (!j + 1) land t.mask
+    done;
+    !result
+  end
+
+let rec probe t key j =
+  let k = t.keys.(j) in
+  if k = key then t.slots.(j)
+  else if k = empty_key then -1
+  else probe t key ((j + 1) land t.mask)
 
 let find t key =
-  let j = ref (Hash_fn.apply t.hash key land t.mask) in
-  let result = ref None in
-  let continue = ref true in
-  while !continue do
-    let k = t.keys.(!j) in
-    if k = key then begin
-      result := Some t.slots.(!j);
-      continue := false
-    end
-    else if k = empty_key then continue := false
-    else j := (!j + 1) land t.mask
-  done;
-  !result
+  if key = empty_key then t.min_slot
+  else probe t key (Hash_fn.apply t.hash key land t.mask)
 
-let mem t key = Option.is_some (find t key)
+let mem t key = find t key >= 0
 
 let iter f t =
+  if t.min_slot >= 0 then f empty_key t.min_slot;
   Array.iteri (fun i k -> if k <> empty_key then f k t.slots.(i)) t.keys

@@ -33,24 +33,45 @@ module Fks = struct
      bucket i with b_i keys gets a second-level table of size b_i^2 with a
      hash seed retried until injective.  Expected total second-level space
      is O(n).  Slots are made dense by a per-bucket base offset plus the
-     rank of the occupied cell, assigned at build time. *)
+     rank of the occupied cell, assigned at build time.
 
-  type bucket = {
-    seed : int;
-    size : int; (* second-level table size, b^2 *)
-    cells : int array; (* cell -> global slot, or -1 *)
-    cell_key : int array; (* cell -> key, for verification *)
-  }
+     Both levels are flat [int] arrays: bucket [b]'s second-level table
+     is cells [offset.(b) .. offset.(b) + |size.(b)| - 1] of [cell_slot]
+     (cell -> global slot, or -1) and [cell_key] (cell -> key, for
+     verification).  Seeds are stored pre-mixed, as {!Hash_fn.with_seed}
+     applies them, so a lookup is two Murmur3 finalisers, two [mod]s
+     and five array reads.
+
+     Murmur3 reads the low 62 bits of its input only, so two keys that
+     differ in the sign bit alone ("twins") collide under every seed.
+     A bucket holding twins is marked by a negative size; its
+     second-level hash folds the sign bit back in, which puts twins in
+     neighbouring cells.  Every other bucket hashes as it always did. *)
 
   type t = {
-    top_seed : int;
+    top_mix : int;
     n_buckets : int;
-    buckets : bucket option array;
+    mix : int array; (* bucket -> second-level seed, pre-mixed *)
+    offset : int array; (* bucket -> first cell *)
+    size : int array;
+        (* bucket -> second-level size b^2, negated if the bucket holds
+           twins; 0 if empty *)
+    cell_slot : int array;
+    cell_key : int array;
     count : int;
-    space : int;
   }
 
   let hash ~seed key = Hash_fn.with_seed Hash_fn.Murmur3 ~seed key
+
+  (* The second-level cell of [x = key lxor mix] in a table of [size]. *)
+  let cell ~size x =
+    if size > 0 then Hash_fn.murmur3 x mod size
+    else (Hash_fn.murmur3 x lxor (x lsr 62)) mod -size
+
+  let has_twins ks =
+    List.exists
+      (fun k -> List.exists (fun k' -> k' <> k && k' land max_int = k land max_int) ks)
+      ks
 
   let build ?(seed = 0x5EED) keys =
     let distinct = Dqo_util.Int_array.distinct_sorted keys in
@@ -75,60 +96,83 @@ module Fks = struct
         let b = hash ~seed:top_seed k mod n_buckets in
         members.(b) <- k :: members.(b))
       distinct;
-    let next_slot = ref 0 in
+    let size =
+      Array.mapi
+        (fun b c -> if has_twins members.(b) then -(c * c) else c * c)
+        sizes
+    in
+    let offset = Array.make n_buckets 0 in
     let space = ref 0 in
-    let build_bucket b =
-      let ks = members.(b) in
-      match ks with
-      | [] -> None
-      | _ ->
-        let bsize = sizes.(b) in
-        let tbl_size = max 1 (bsize * bsize) in
+    Array.iteri
+      (fun b sz ->
+        offset.(b) <- !space;
+        space := !space + abs sz)
+      size;
+    let mix = Array.make n_buckets 0 in
+    let cell_slot = Array.make !space (-1) in
+    let cell_key = Array.make !space 0 in
+    let next_slot = ref 0 in
+    for b = 0 to n_buckets - 1 do
+      let base = offset.(b) and tbl_size = abs size.(b) in
+      if tbl_size > 0 then begin
         (* Retry second-level seed until injective on this bucket. *)
         let rec try_seed s =
-          let cells = Array.make tbl_size (-1) in
-          let cell_key = Array.make tbl_size 0 in
+          Array.fill cell_slot base tbl_size (-1);
+          let m = Hash_fn.seed_mix s in
           let ok =
             List.for_all
               (fun k ->
-                let c = hash ~seed:s k mod tbl_size in
-                if cells.(c) >= 0 then false
+                let c = base + cell ~size:size.(b) (k lxor m) in
+                if cell_slot.(c) >= 0 then false
                 else begin
-                  cells.(c) <- 0;
+                  cell_slot.(c) <- 0;
                   cell_key.(c) <- k;
                   true
                 end)
-              ks
+              members.(b)
           in
-          if ok then (s, cells, cell_key) else try_seed (s + 1)
+          if ok then m else try_seed (s + 1)
         in
-        let s, cells, cell_key = try_seed (top_seed + b + 1) in
+        mix.(b) <- try_seed (top_seed + b + 1);
         (* Assign dense global slots to occupied cells. *)
-        Array.iteri
-          (fun c v ->
-            if v >= 0 then begin
-              cells.(c) <- !next_slot;
-              incr next_slot
-            end)
-          cells;
-        space := !space + tbl_size;
-        Some { seed = s; size = tbl_size; cells; cell_key }
-    in
-    let buckets = Array.init n_buckets build_bucket in
-    { top_seed; n_buckets; buckets; count = n; space = !space }
+        for c = base to base + tbl_size - 1 do
+          if cell_slot.(c) >= 0 then begin
+            cell_slot.(c) <- !next_slot;
+            incr next_slot
+          end
+        done
+      end
+    done;
+    {
+      top_mix = Hash_fn.seed_mix top_seed;
+      n_buckets;
+      mix;
+      offset;
+      size;
+      cell_slot;
+      cell_key;
+      count = n;
+    }
 
-  let slot t key =
-    if t.count = 0 then None
+  (* An empty cell holds slot -1, so a key match on it still misses.
+     Murmur3 is non-negative, so every index is in bounds. *)
+  let find t key =
+    let b = Hash_fn.murmur3 (key lxor t.top_mix) mod t.n_buckets in
+    let size = Array.unsafe_get t.size b in
+    if size = 0 then -1
     else begin
-      let b = hash ~seed:t.top_seed key mod t.n_buckets in
-      match t.buckets.(b) with
-      | None -> None
-      | Some bk ->
-        let c = hash ~seed:bk.seed key mod bk.size in
-        if bk.cells.(c) >= 0 && bk.cell_key.(c) = key then Some bk.cells.(c)
-        else None
+      let c =
+        Array.unsafe_get t.offset b
+        + cell ~size (key lxor Array.unsafe_get t.mix b)
+      in
+      if Array.unsafe_get t.cell_key c = key then Array.unsafe_get t.cell_slot c
+      else -1
     end
 
+  let slot t key =
+    let s = find t key in
+    if s < 0 then None else Some s
+
   let length t = t.count
-  let space t = t.space
+  let space t = Array.length t.cell_slot
 end

@@ -47,9 +47,13 @@ module Fks : sig
   (** [build keys] constructs a perfect hash for the distinct values of
       [keys].  Expected O(n) construction, O(n) space. *)
 
+  val find : t -> int -> int
+  (** [find t key] is the slot of [key], in [\[0, length t)], iff [key]
+      was in the build set, and [-1] otherwise; distinct keys receive
+      distinct slots.  It allocates nothing. *)
+
   val slot : t -> int -> int option
-  (** [slot t key] is [Some s] with [s] in [\[0, length t)] iff [key] was
-      in the build set; distinct keys receive distinct slots. *)
+  (** {!find} as an option. *)
 
   val length : t -> int
   (** Number of keys in the build set. *)

@@ -72,34 +72,24 @@ and grow t =
     (fun i d -> if d >= 0 then insert_absent t old_keys.(i) old_slots.(i))
     old_dist
 
-let find t key =
-  let j = ref (Hash_fn.apply t.hash key land t.mask) in
-  let d = ref 0 in
-  let result = ref None in
-  let continue = ref true in
-  while !continue do
-    let dj = t.dist.(!j) in
-    if dj < 0 || dj < !d then continue := false
-    else if t.keys.(!j) = key then begin
-      result := Some t.slots.(!j);
-      continue := false
-    end
-    else begin
-      j := (!j + 1) land t.mask;
-      incr d
-    end
-  done;
-  !result
+let rec probe t key j d =
+  let dj = t.dist.(j) in
+  if dj < d then -1 (* empty (-1) or a resident closer to home *)
+  else if t.keys.(j) = key then t.slots.(j)
+  else probe t key ((j + 1) land t.mask) (d + 1)
+
+let find t key = probe t key (Hash_fn.apply t.hash key land t.mask) 0
 
 let find_or_add t key =
-  match find t key with
-  | Some slot -> slot
-  | None ->
+  let slot = find t key in
+  if slot >= 0 then slot
+  else begin
     let slot = t.count in
     insert_absent t key slot;
     slot
+  end
 
-let mem t key = Option.is_some (find t key)
+let mem t key = find t key >= 0
 
 let iter f t =
   Array.iteri (fun i d -> if d >= 0 then f t.keys.(i) t.slots.(i)) t.dist

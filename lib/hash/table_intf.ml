@@ -18,8 +18,9 @@ module type TABLE = sig
   (** [find_or_add t key] returns the slot of [key], allocating the next
       free slot if the key is new. *)
 
-  val find : t -> int -> int option
-  (** [find t key] is the slot of [key] if present. *)
+  val find : t -> int -> int
+  (** [find t key] is the slot of [key], or [-1] if it is absent.  It
+      allocates nothing. *)
 
   val mem : t -> int -> bool
   val length : t -> int

@@ -168,6 +168,63 @@ let test_perfect_hash_av_on_sparse_data () =
   Alcotest.(check (list (pair int int))) "fks execution" expected
     (result_to_alist rel)
 
+(* Perfect-hash AVs over two relations' columns of the same name each
+   serve their own relation: installing or dropping one leaves the
+   other's FKS in place. *)
+let test_perfect_hash_avs_on_same_named_columns () =
+  let db = Engine.create () in
+  let ints names rows =
+    Relation.of_int_rows (Schema.of_names (List.map (fun n -> (n, Schema.T_int)) names)) rows
+  in
+  (* Sparse keys: R's ids and R2's ids are disjoint sets. *)
+  let r = List.init 400 (fun i -> [ (i * 7_919) + 13; i mod 37 ]) in
+  let r2 = List.init 300 (fun i -> [ (i * 104_729) + 5; i ]) in
+  let s = List.init 1_500 (fun j -> [ ((j * 31 mod 400) * 7_919) + 13; j ]) in
+  Engine.register db ~name:"R" (ints [ "id"; "a" ] r);
+  Engine.register db ~name:"R2" (ints [ "id"; "a2" ] r2);
+  Engine.register db ~name:"S" (ints [ "r_id"; "b" ] s);
+  let sql = "SELECT a, COUNT(*) AS c0 FROM R JOIN S ON id = r_id GROUP BY a" in
+  let expected =
+    let counts = Hashtbl.create 64 in
+    List.iter
+      (fun sr ->
+        let rr = List.find (fun rr -> List.hd rr = List.hd sr) r in
+        let a = List.nth rr 1 in
+        Hashtbl.replace counts a (1 + Option.value ~default:0 (Hashtbl.find_opt counts a)))
+      s;
+    List.sort compare (Hashtbl.fold (fun a c acc -> [ Value.Int a; Value.Int c ] :: acc) counts [])
+  in
+  let rec has_sphj (p : Physical.t) =
+    match p with
+    | Physical.Join_op (_, _, _, _, impl) when impl.Physical.j_alg = Dqo_exec.Join.SPHJ -> true
+    | Physical.Join_op (l, r, _, _, _) -> has_sphj l || has_sphj r
+    | Physical.Table_scan _ -> false
+    | Physical.Filter_op (sub, _, _) | Physical.Project_op (sub, _)
+    | Physical.Sort_enforcer (sub, _) | Physical.Group_op (sub, _, _, _) ->
+      has_sphj sub
+  in
+  let check label =
+    Alcotest.(check bool) (label ^ ": SPHJ") true
+      (has_sphj (Engine.plan_sql db Engine.DQO sql).Pareto.plan);
+    Alcotest.(check bool) (label ^ ": result") true
+      (List.sort compare (Relation.rows (Engine.run_sql db sql)) = expected)
+  in
+  let av relation =
+    Dqo_av.View.perfect_hash (Engine.catalog db) ~relation ~column:"id"
+  in
+  let r_av = av "R" in
+  Engine.install_av db r_av;
+  check "R's AV";
+  let r2_av = av "R2" in
+  Engine.install_av db r2_av;
+  check "both AVs";
+  Engine.uninstall_av db r2_av.Dqo_av.View.id;
+  check "R2's AV dropped";
+  Engine.install_av db r2_av;
+  Engine.uninstall_av db r_av.Dqo_av.View.id;
+  Engine.install_av db r_av;
+  check "R's AV reinstalled"
+
 let test_sorted_projection_av () =
   let db, _ = fk_db ~r_sorted:false ~s_sorted:true ~dense:true ~seed:33 in
   let sql = "SELECT a, COUNT(*) AS cnt FROM R JOIN S ON id = r_id GROUP BY a" in
@@ -738,6 +795,8 @@ let () =
         [
           Alcotest.test_case "perfect hash AV on sparse data" `Quick
             test_perfect_hash_av_on_sparse_data;
+          Alcotest.test_case "same-named AV columns" `Quick
+            test_perfect_hash_avs_on_same_named_columns;
           Alcotest.test_case "sorted projection AV" `Quick
             test_sorted_projection_av;
           Alcotest.test_case "grouping result AV" `Quick

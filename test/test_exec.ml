@@ -224,6 +224,257 @@ let test_sph_join_domain () =
   in
   Alcotest.(check bool) "one match" true (normalize r = [ (1, 0) ])
 
+(* --- hashed kernels against their previous implementations ---------------- *)
+
+(* The hashed joins (HJ, SPHJ, the FKS join) and FKS grouping as they
+   were before they shared one slot-ordered kernel, kept as the
+   reference for the order of their output: HJ chained build rows per
+   table slot through a row-sized [next] array, the FKS join likewise
+   per FKS slot.  Only the pair buffers and segment loops are written
+   more simply; each algorithm and its visiting order are as they
+   were. *)
+module Old_kernels = struct
+  module Fks = Dqo_hash.Perfect.Fks
+
+  let pairs_of_rev lbuf rbuf =
+    { Join.left = Array.of_list (List.rev lbuf); right = Array.of_list (List.rev rbuf) }
+
+  let hash_join ~hash ~table ~left ~right =
+    let n = Int_col.length left in
+    let next = Array.make (max 1 n) (-1) in
+    let lbuf = ref [] and rbuf = ref [] in
+    let build (type t) (module T : Dqo_hash.Table_intf.TABLE with type t = t)
+        (tbl : t) =
+      let head = ref (Array.make (max 16 n) (-1)) in
+      Int_col.iteri left ~f:(fun i key ->
+          let slot = T.find_or_add tbl key in
+          if slot >= Array.length !head then begin
+            let grown = Array.make (2 * Array.length !head) (-1) in
+            Array.blit !head 0 grown 0 (Array.length !head);
+            head := grown
+          end;
+          next.(i) <- !head.(slot);
+          !head.(slot) <- i);
+      let head = !head in
+      Int_col.iteri right ~f:(fun j key ->
+          let slot = T.find tbl key in
+          let e = ref (if slot >= 0 then head.(slot) else -1) in
+          while !e >= 0 do
+            lbuf := !e :: !lbuf;
+            rbuf := j :: !rbuf;
+            e := next.(!e)
+          done)
+    in
+    (match table with
+    | Grouping.Chaining ->
+      build (module Dqo_hash.Chain_table)
+        (Dqo_hash.Chain_table.create ~hash ~expected:n ())
+    | Grouping.Linear_probing ->
+      build (module Dqo_hash.Linear_probe)
+        (Dqo_hash.Linear_probe.create ~hash ~expected:n ())
+    | Grouping.Robin_hood ->
+      build (module Dqo_hash.Robin_hood)
+        (Dqo_hash.Robin_hood.create ~hash ~expected:n ()));
+    pairs_of_rev !lbuf !rbuf
+
+  let sph_join ~lo ~hi ~left ~right =
+    let domain = hi - lo + 1 in
+    let run = Array.make (domain + 1) 0 in
+    Int_col.iteri left ~f:(fun _ key ->
+        if key < lo || key > hi then
+          invalid_arg "Join.sph_join: build key outside dense domain";
+        run.(key - lo) <- run.(key - lo) + 1);
+    for s = 1 to domain do
+      run.(s) <- run.(s) + run.(s - 1)
+    done;
+    let rows = Array.make (Int_col.length left) 0 in
+    Int_col.iteri left ~f:(fun i key ->
+        let p = run.(key - lo) - 1 in
+        run.(key - lo) <- p;
+        rows.(p) <- i);
+    let lbuf = ref [] and rbuf = ref [] in
+    Int_col.iteri right ~f:(fun j key ->
+        if key >= lo && key <= hi then
+          for p = run.(key - lo) to run.(key - lo + 1) - 1 do
+            lbuf := rows.(p) :: !lbuf;
+            rbuf := j :: !rbuf
+          done);
+    pairs_of_rev !lbuf !rbuf
+
+  let fks_join fks ~left ~right =
+    let larr = Int_col.to_array left in
+    let g = max 1 (Fks.length fks) in
+    let head = Array.make g (-1) in
+    let next = Array.make (max 1 (Array.length larr)) (-1) in
+    Array.iteri
+      (fun i k ->
+        match Fks.slot fks k with
+        | Some s ->
+          next.(i) <- head.(s);
+          head.(s) <- i
+        | None ->
+          invalid_arg "Engine: build key outside the perfect-hash AV's key set")
+      larr;
+    let lbuf = ref [] and rbuf = ref [] in
+    Int_col.iteri right ~f:(fun j k ->
+        match Fks.slot fks k with
+        | None -> ()
+        | Some s ->
+          let e = ref head.(s) in
+          while !e >= 0 do
+            if larr.(!e) = k then begin
+              lbuf := !e :: !lbuf;
+              rbuf := j :: !rbuf
+            end;
+            e := next.(!e)
+          done);
+    pairs_of_rev !lbuf !rbuf
+
+  let fks_grouping fks ~keys ~values =
+    let g = Fks.length fks in
+    let slot_key = Array.make (max 1 g) 0 in
+    let counts = Array.make (max 1 g) 0 in
+    let sums = Array.make (max 1 g) 0 in
+    Int_col.iter_seg2 keys values ~f:(fun _ kb ko vb vo len ->
+        for i = 0 to len - 1 do
+          let k = kb.(ko + i) in
+          match Fks.slot fks k with
+          | Some s ->
+            slot_key.(s) <- k;
+            counts.(s) <- counts.(s) + 1;
+            sums.(s) <- sums.(s) + vb.(vo + i)
+          | None ->
+            invalid_arg "Engine: key outside the perfect-hash AV's key set"
+        done);
+    let hit = ref 0 in
+    Array.iter (fun c -> if c > 0 then incr hit) counts;
+    let out_k = Array.make !hit 0
+    and out_c = Array.make !hit 0
+    and out_s = Array.make !hit 0 in
+    let j = ref 0 in
+    for s = 0 to g - 1 do
+      if counts.(s) > 0 then begin
+        out_k.(!j) <- slot_key.(s);
+        out_c.(!j) <- counts.(s);
+        out_s.(!j) <- sums.(s);
+        incr j
+      end
+    done;
+    { Group_result.keys = out_k; counts = out_c; sums = out_s }
+end
+
+type kernel_case = {
+  backend : Int_col.backend;
+  left : int array;  (** HJ and FKS build keys *)
+  right : int array;  (** their probe keys *)
+  extra : int array;  (** FKS key-set members no build row has *)
+  values : int array;  (** FKS grouping payload, parallel to [left] *)
+  lo : int;  (** SPHJ domain [\[lo, lo + 30\]] *)
+  sph_left : int array;
+  sph_right : int array;
+}
+
+let kernel_case_gen =
+  let open QCheck.Gen in
+  let* backend =
+    oneofl [ Int_col.Flat; Int_col.Chunked Int_col.W32; Int_col.Chunked Int_col.W64 ]
+  in
+  (* Chunked W32 stores 32-bit values only; the others take every int. *)
+  let lowest, highest, wide =
+    match backend with
+    | Int_col.Chunked Int_col.W32 ->
+      (-0x8000_0000, 0x7fff_ffff, map (fun x -> x asr 32) int)
+    | Int_col.Flat | Int_col.Chunked Int_col.W64 -> (min_int, max_int, int)
+  in
+  (* A small pool makes duplicates on both sides likely. *)
+  let key =
+    frequency
+      [
+        (3, oneofl [ lowest; lowest + 1; highest; highest - 1; -7; -1; 0; 1; 5 ]);
+        (2, int_range (-20) 20);
+        (1, wide);
+      ]
+  in
+  let keys = array_size (int_bound 40) key in
+  let* left = keys and* right = keys and* extra = keys in
+  let* values = array_repeat (Array.length left) (int_range (-100) 100) in
+  let* lo = oneofl [ lowest; -15; 0; highest - 30 ] in
+  let in_domain = map (fun d -> lo + d) (int_bound 30) in
+  let* sph_left = array_size (int_bound 40) in_domain in
+  let* sph_right = array_size (int_bound 40) (frequency [ (3, in_domain); (1, key) ]) in
+  return { backend; left; right; extra; values; lo; sph_left; sph_right }
+
+let print_kernel_case c =
+  let arr a = "[|" ^ String.concat "; " (Array.to_list (Array.map string_of_int a)) ^ "|]" in
+  Printf.sprintf "backend=%s left=%s right=%s extra=%s lo=%d sph_left=%s sph_right=%s"
+    (match c.backend with
+    | Int_col.Flat -> "flat"
+    | Int_col.Chunked Int_col.W32 -> "chunked32"
+    | Int_col.Chunked Int_col.W64 -> "chunked64")
+    (arr c.left) (arr c.right) (arr c.extra) c.lo (arr c.sph_left) (arr c.sph_right)
+
+let prop_hashed_kernels_match_reference =
+  QCheck.Test.make ~name:"hashed kernels = previous kernels" ~count:300
+    (QCheck.make ~print:print_kernel_case kernel_case_gen) (fun c ->
+      let col a =
+        match c.backend with
+        | Int_col.Flat -> Int_col.of_array a
+        | Int_col.Chunked _ ->
+          Int_col.init ~backend:c.backend ~chunk_rows:8 (Array.length a)
+            (fun i -> a.(i))
+      in
+      let same ~left ~right (got : Join.result) (old : Join.result) =
+        got = old
+        && normalize got = normalize (Join.nested_loop_reference ~left ~right)
+      in
+      let left = col c.left and right = col c.right in
+      let hj_ok =
+        List.for_all
+          (fun table ->
+            List.for_all
+              (fun hash ->
+                same ~left ~right
+                  (Join.hash_join ~hash ~table ~left ~right ())
+                  (Old_kernels.hash_join ~hash ~table ~left ~right))
+              Dqo_hash.Hash_fn.all)
+          [ Grouping.Chaining; Grouping.Linear_probing; Grouping.Robin_hood ]
+      in
+      let sph_ok =
+        let left = col c.sph_left and right = col c.sph_right in
+        let lo = c.lo and hi = c.lo + 30 in
+        same ~left ~right
+          (Join.sph_join ~lo ~hi ~left ~right)
+          (Old_kernels.sph_join ~lo ~hi ~left ~right)
+      in
+      let fks = Dqo_hash.Perfect.Fks.build (Array.append c.left c.extra) in
+      let fks_ok =
+        same ~left ~right
+          (Join.fks_join fks ~left ~right)
+          (Old_kernels.fks_join fks ~left ~right)
+      in
+      let group_ok =
+        let keys = left and values = col c.values in
+        Grouping.fks_based fks ~keys ~values
+        = Old_kernels.fks_grouping fks ~keys ~values
+      in
+      hj_ok && sph_ok && fks_ok && group_ok)
+
+let test_fks_kernel_preconditions () =
+  let fks = Dqo_hash.Perfect.Fks.build [| 10; -3; max_int |] in
+  Alcotest.check_raises "build key outside the key set"
+    (Invalid_argument "Join.fks_join: build key outside the perfect hash's key set")
+    (fun () -> ignore (Join.fks_join fks ~left:(ic [| 10; 11 |]) ~right:(ic [||])));
+  Alcotest.check_raises "grouping key outside the key set"
+    (Invalid_argument "Grouping.fks_based: key outside the perfect hash's key set")
+    (fun () ->
+      ignore (Grouping.fks_based fks ~keys:(ic [| min_int |]) ~values:(ic [| 0 |])));
+  (* Foreign probe keys, min_int among them, simply do not match. *)
+  let r =
+    Join.fks_join fks ~left:(ic [| max_int; -3 |])
+      ~right:(ic [| min_int; -3; 11; max_int; 0 |])
+  in
+  Alcotest.(check bool) "two matches" true (normalize r = [ (0, 3); (1, 1) ])
+
 let test_join_materialize () =
   let schema_l =
     Dqo_data.Schema.of_names [ ("id", Dqo_data.Schema.T_int); ("a", Dqo_data.Schema.T_int) ]
@@ -547,6 +798,9 @@ let () =
           Alcotest.test_case "duplicate cross product" `Quick
             test_join_duplicates_cross_product;
           Alcotest.test_case "sph domain" `Quick test_sph_join_domain;
+          qtest prop_hashed_kernels_match_reference;
+          Alcotest.test_case "fks preconditions" `Quick
+            test_fks_kernel_preconditions;
           Alcotest.test_case "materialize" `Quick test_join_materialize;
         ] );
       ( "sort-filter",

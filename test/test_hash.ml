@@ -63,7 +63,7 @@ let model_check (type t) (module T : Dqo_hash.Table_intf.TABLE with type t = t)
       in
       let slot = T.find_or_add tbl k in
       slot = expected_slot
-      && T.find tbl k = Some slot
+      && T.find tbl k = slot
       && T.length tbl = !next)
     keys
   && begin
@@ -89,8 +89,34 @@ let test_absent_lookups () =
   let check (type t) (module T : Dqo_hash.Table_intf.TABLE with type t = t) =
     let tbl = T.create ~expected:8 () in
     ignore (T.find_or_add tbl 5);
-    Alcotest.(check bool) (T.name ^ " absent") true (T.find tbl 6 = None);
+    Alcotest.(check bool) (T.name ^ " absent") true (T.find tbl 6 = -1);
     Alcotest.(check bool) (T.name ^ " mem") true (T.mem tbl 5 && not (T.mem tbl 6))
+  in
+  check (module Dqo_hash.Chain_table);
+  check (module Dqo_hash.Linear_probe);
+  check (module Dqo_hash.Robin_hood)
+
+let test_extreme_keys () =
+  (* [min_int] is linear probing's empty-bucket sentinel; it must still be
+     a key like any other, in every layout. *)
+  let check (type t) (module T : Dqo_hash.Table_intf.TABLE with type t = t) =
+    let tbl = T.create ~expected:4 () in
+    Alcotest.(check int) (T.name ^ " absent min_int") (-1) (T.find tbl min_int);
+    let keys = [ 3; min_int; max_int; 0; min_int + 1; -1 ] in
+    List.iteri
+      (fun i k -> Alcotest.(check int) (T.name ^ " fresh slot") i (T.find_or_add tbl k))
+      keys;
+    List.iteri
+      (fun i k ->
+        Alcotest.(check int) (T.name ^ " stable slot") i (T.find_or_add tbl k);
+        Alcotest.(check int) (T.name ^ " find") i (T.find tbl k))
+      keys;
+    Alcotest.(check int) (T.name ^ " length") 6 (T.length tbl);
+    let seen = ref [] in
+    T.iter (fun k s -> seen := (s, k) :: !seen) tbl;
+    Alcotest.(check (list (pair int int))) (T.name ^ " iter")
+      (List.mapi (fun i k -> (i, k)) keys)
+      (List.sort compare !seen)
   in
   check (module Dqo_hash.Chain_table);
   check (module Dqo_hash.Linear_probe);
@@ -106,7 +132,7 @@ let test_growth_under_load () =
     done;
     Alcotest.(check int) (T.name ^ " length") 10_000 (T.length tbl);
     for k = 0 to 9_999 do
-      assert (T.find tbl (k * 7) = Some k)
+      assert (T.find tbl (k * 7) = k)
     done
   in
   check (module Dqo_hash.Chain_table);
@@ -219,6 +245,93 @@ let test_fks_empty_and_singleton () =
   Alcotest.(check bool) "singleton slot" true
     (Perfect.Fks.slot one 42 = Some 0)
 
+(* [Fks.find] over full-range keys.  The pool holds pairs of keys that
+   differ in the sign bit alone (0 and min_int, -1 and max_int, 5 and
+   min_int + 5), which Murmur3 cannot tell apart. *)
+let full_range_key =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, oneofl [ 0; min_int; -1; max_int; 5; min_int + 5; min_int + 1; -7 ]);
+        (2, int_range (-1000) 1000);
+        (3, int);
+      ])
+
+let prop_fks_find_perfect =
+  QCheck.Test.make ~name:"FKS find: distinct slots below length" ~count:200
+    (QCheck.make QCheck.Gen.(array_size (int_bound 300) full_range_key))
+    (fun keys ->
+      let fks = Perfect.Fks.build keys in
+      let distinct = Dqo_util.Int_array.distinct_sorted keys in
+      let n = Array.length distinct in
+      let seen = Array.make n false in
+      Perfect.Fks.length fks = n
+      && Perfect.Fks.space fks <= (4 * n) + 4
+      && Array.for_all
+           (fun k ->
+             let s = Perfect.Fks.find fks k in
+             s >= 0 && s < n
+             && (not seen.(s))
+             && begin
+                  seen.(s) <- true;
+                  true
+                end)
+           distinct)
+
+let prop_fks_find_rejects_foreign_keys =
+  QCheck.Test.make ~name:"FKS find: -1 off the key set" ~count:200
+    (QCheck.make
+       QCheck.Gen.(
+         pair
+           (array_size (int_bound 200) full_range_key)
+           (array_size (int_bound 50) full_range_key)))
+    (fun (keys, probes) ->
+      let fks = Perfect.Fks.build keys in
+      let probes = Array.append [| min_int; max_int; -1; -123_456_789 |] probes in
+      Array.for_all
+        (fun p ->
+          if Array.mem p keys then Perfect.Fks.find fks p >= 0
+          else Perfect.Fks.find fks p = -1)
+        probes)
+
+let test_fks_find_edge_cases () =
+  let find = Perfect.Fks.find in
+  let empty = Perfect.Fks.build [||] in
+  List.iter
+    (fun k -> Alcotest.(check int) "empty" (-1) (find empty k))
+    [ 5; 0; min_int; max_int; -1 ];
+  let one = Perfect.Fks.build [| 42; 42; 42 |] in
+  Alcotest.(check int) "singleton" 0 (find one 42);
+  List.iter
+    (fun k -> Alcotest.(check int) "singleton foreign" (-1) (find one k))
+    [ 43; 0; min_int; max_int; -42 ];
+  let low = Perfect.Fks.build [| min_int |] in
+  Alcotest.(check int) "min_int" 0 (find low min_int);
+  Alcotest.(check int) "min_int's twin 0" (-1) (find low 0);
+  (* Two twin pairs in a four-key set: the build must terminate and keep
+     all four apart. *)
+  let twins = Perfect.Fks.build [| 0; min_int; -1; max_int |] in
+  let slots = List.map (find twins) [ 0; min_int; -1; max_int ] in
+  Alcotest.(check (list int)) "twins get distinct slots" [ 0; 1; 2; 3 ]
+    (List.sort compare slots);
+  Alcotest.(check int) "twins foreign" (-1) (find twins 1)
+
+let test_fks_twins_linear_space () =
+  (* 5,000 twin pairs: every top-level bucket holds twins. *)
+  let rng = Dqo_util.Rng.create ~seed:5 in
+  let half = Dqo_util.Rng.sample_distinct rng ~k:5_000 ~bound:(1 lsl 40) in
+  let keys = Array.append half (Array.map (fun k -> k lxor min_int) half) in
+  let fks = Perfect.Fks.build keys in
+  Alcotest.(check bool) "space <= 6n" true (Perfect.Fks.space fks <= 6 * 10_000);
+  let seen = Array.make 10_000 false in
+  Array.iter
+    (fun k ->
+      let s = Perfect.Fks.find fks k in
+      Alcotest.(check bool) "slot in range and fresh" true
+        (s >= 0 && s < 10_000 && not seen.(s));
+      seen.(s) <- true)
+    keys
+
 let () =
   Alcotest.run "dqo_hash"
     [
@@ -237,6 +350,7 @@ let () =
           qtest (prop_table "linear-probing" (module Dqo_hash.Linear_probe));
           qtest (prop_table "robin-hood" (module Dqo_hash.Robin_hood));
           Alcotest.test_case "absent lookups" `Quick test_absent_lookups;
+          Alcotest.test_case "extreme keys" `Quick test_extreme_keys;
           Alcotest.test_case "growth" `Quick test_growth_under_load;
           Alcotest.test_case "identity hash correctness" `Quick
             test_identity_hash_still_correct;
@@ -254,5 +368,10 @@ let () =
           Alcotest.test_case "FKS linear space" `Quick test_fks_linear_space;
           Alcotest.test_case "FKS edge cases" `Quick
             test_fks_empty_and_singleton;
+          qtest prop_fks_find_perfect;
+          qtest prop_fks_find_rejects_foreign_keys;
+          Alcotest.test_case "FKS find edge cases" `Quick test_fks_find_edge_cases;
+          Alcotest.test_case "FKS twins linear space" `Quick
+            test_fks_twins_linear_space;
         ] );
     ]
